@@ -14,9 +14,7 @@ from emscan import (
     Point,
     Pose,
     PrecisionMatrix,
-    compose_poses,
     edge_density,
-    invert_pose,
     mahalanobis_sq,
 )
 
@@ -26,14 +24,14 @@ p = Point(1.0, 0.0)
 moved = g.apply(p)
 print(f"{g} applied to {tuple(p)} -> ({moved.x:.3f}, {moved.y:.3f})")
 
-back = invert_pose(g).apply(moved)
+back = g.inverse().apply(moved)
 print(f"inverse brings it back: ({back.x:.3f}, {back.y:.3f})")
 
 a = Pose(0.5, 0.0, math.pi / 4)
 chained = a.apply(g.apply(p))
-composed = compose_poses(a, g).apply(p)
+composed = a.compose(g).apply(p)
 print(f"a(g(p)) = ({chained.x:.6f}, {chained.y:.6f})")
-print(f"compose(a, g)(p) = ({composed.x:.6f}, {composed.y:.6f})")
+print(f"a.compose(g)(p) = ({composed.x:.6f}, {composed.y:.6f})")
 
 print()
 print("== whole point arrays at once ==")

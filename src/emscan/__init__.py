@@ -12,7 +12,6 @@ from .em import (
     EmConfig,
     RegistrationResult,
     e_step,
-    log_marginal_likelihood,
     m_step,
     register,
     residual_covariance,
@@ -30,11 +29,8 @@ from .geometry import (
     Point,
     Pose,
     PrecisionMatrix,
-    apply_pose,
     as_point_array,
-    compose_poses,
     edge_density,
-    invert_pose,
     mahalanobis_sq,
     wrap_angle,
 )
@@ -68,18 +64,14 @@ __all__ = [
     "RegistrationResult",
     "SHAPES",
     "ScanMatchError",
-    "apply_pose",
     "as_point_array",
     "brute_force_neighbors",
     "build_graph",
-    "compose_poses",
     "dense_em_register",
     "dump_graph",
     "e_step",
     "edge_density",
-    "invert_pose",
     "load_points",
-    "log_marginal_likelihood",
     "m_step",
     "mahalanobis_sq",
     "make_scene",

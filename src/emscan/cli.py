@@ -65,9 +65,7 @@ def _env(flag: str, cast, fallback):
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
-        raise SystemExit(
-            f"error: bad value for {_env_name(flag)}: {raw!r} ({exc})"
-        ) from None
+        raise ValueError(f"bad value for {_env_name(flag)}: {raw!r} ({exc})") from None
 
 
 def _env_floats(raw: str) -> list[float]:
@@ -276,13 +274,12 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        # Building the parser reads the EMSCAN_* defaults, which may be bad.
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:   # --help, or a usage error already reported
+        return int(exc.code or 0)
     except (OSError, ValueError, ScanMatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR

@@ -37,7 +37,6 @@ __all__ = [
     "EmConfig",
     "RegistrationResult",
     "e_step",
-    "log_marginal_likelihood",
     "m_step",
     "register",
     "residual_covariance",
@@ -119,27 +118,35 @@ class RegistrationResult:
 
 def _edge_exponents(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> np.ndarray:
     """log(prior) - ||s - pose(m)||^2_Gamma / 2 for every edge."""
-    residual = graph.scan[graph.scan_idx] - pose.apply(graph.model[graph.model_idx])
+    residual = graph.scan_e - pose.apply(graph.model_e)
     return np.log(graph.prior) - 0.5 * mahalanobis_sq(residual, gamma)
 
 
-def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> None:
-    """Update ``graph.posterior`` in place with the edge responsibilities.
+def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
+    """Update ``graph.posterior`` in place and return the log-likelihood at ``pose``.
 
     Each nonempty row j becomes
     ``prior_jk * density_jk / sum_k' prior_jk' * density_jk'``, normalized
     in log domain with a per-row max shift so rows far from the model stay
     exactly normalized instead of underflowing.  Rows without edges are
     untouched (outliers own no responsibility mass).
+
+    The return value is the marginal log-likelihood, the sum over nonempty
+    rows of ``log sum_k prior_jk * density_jk``, read off the same per-row
+    max and denominator.  Outlier rows contribute zero, and a graph without
+    edges scores exactly 0.  The dropped Gaussian normalization constant
+    shifts it by a pose-independent amount.
     """
     if graph.edge_count == 0:
-        return
+        return 0.0
     expo = _edge_exponents(graph, pose, gamma)
     row_max = _row_max(expo, graph.row_start)
     shifted = np.exp(expo - row_max[graph.scan_idx])
     denom = _row_sum(shifted, graph.row_start)
+    nonempty = graph.neighbor_counts > 0
+    loglik = float(np.sum(row_max[nonempty] + np.log(denom[nonempty])))
 
-    deep = (graph.neighbor_counts > 0) & (row_max < _DEEP_TAIL_LOG)
+    deep = nonempty & (row_max < _DEEP_TAIL_LOG)
     if deep.any():
         logger.debug(
             "%d scan rows have best log-density below %.0f; responsibilities "
@@ -159,22 +166,7 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> None:
         if not np.isfinite(posterior).all():
             raise DegenerateRow("responsibility row cannot be normalized")
     graph.posterior[:] = posterior
-
-
-def log_marginal_likelihood(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
-    """Sum over nonempty rows of ``log sum_k prior_jk * density_jk`` at ``pose``.
-
-    Computed with a per-row log-sum-exp; outlier rows contribute zero, and
-    a graph without edges scores exactly 0.  The dropped Gaussian
-    normalization constant shifts this by a pose-independent amount.
-    """
-    if graph.edge_count == 0:
-        return 0.0
-    expo = _edge_exponents(graph, pose, gamma)
-    row_max = _row_max(expo, graph.row_start)
-    denom = _row_sum(np.exp(expo - row_max[graph.scan_idx]), graph.row_start)
-    nonempty = graph.neighbor_counts > 0
-    return float(np.sum(row_max[nonempty] + np.log(denom[nonempty])))
+    return loglik
 
 
 def _weighted_pairs(graph: MatchGraph):
@@ -184,7 +176,7 @@ def _weighted_pairs(graph: MatchGraph):
     total = float(w.sum())
     if total < _MIN_TOTAL_WEIGHT:
         raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
-    return graph.scan[graph.scan_idx], graph.model[graph.model_idx], w, total
+    return graph.scan_e, graph.model_e, w, total
 
 
 def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
@@ -276,7 +268,7 @@ def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]
     n_p = graph.inlier_count
     if n_p == 0:
         raise NoInliers("every scan point is an outlier")
-    residual = graph.scan[graph.scan_idx] - pose.apply(graph.model[graph.model_idx])
+    residual = graph.scan_e - pose.apply(graph.model_e)
     w = graph.posterior
     rxx = float(w @ (residual[:, 0] * residual[:, 0]))
     rxy = float(w @ (residual[:, 0] * residual[:, 1]))
@@ -284,43 +276,30 @@ def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]
     return np.array([[rxx, rxy], [rxy, ryy]]) / n_p, n_p
 
 
-def _reestimated_gamma(graph: MatchGraph, pose: Pose,
-                       fallback: PrecisionMatrix) -> PrecisionMatrix:
-    cov, _ = residual_covariance(graph, pose)
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if not (math.isfinite(det) and det > 1e-300):
-        return fallback
-    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
-    try:
-        return PrecisionMatrix.from_matrix(inv)
-    except ValueError:
-        return fallback
+def _scored_e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix,
+                   with_normalizer: bool) -> float:
+    """``e_step``, returning the log-likelihood used by the stopping rule and trace.
 
-
-def _convergence_metric(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix,
-                        with_normalizer: bool) -> float:
-    """Log-likelihood used by the stopping rule and the trace.
-
-    With a fixed precision the dropped Gaussian normalizer is a constant
-    and plain ``log_marginal_likelihood`` suffices.  When gamma is refit
-    between sweeps the ``sqrt(det Gamma)`` normalizer varies, so it must
-    be restored to keep sweeps comparable (making the refit a proper
-    conditional M-step with a monotone objective).
+    With a fixed precision the dropped Gaussian normalizer is a constant.
+    When gamma is refit between sweeps the ``sqrt(det Gamma)`` normalizer
+    varies, so it is restored to keep sweeps comparable (making the refit
+    a proper conditional M-step with a monotone objective).
     """
-    value = log_marginal_likelihood(graph, pose, gamma)
+    loglik = e_step(graph, pose, gamma)
     if with_normalizer:
-        det = gamma.g00 * gamma.g11 - gamma.g01 * gamma.g01
-        value += 0.5 * graph.inlier_count * math.log(det)
-    return value
+        loglik += 0.5 * graph.inlier_count * math.log(gamma.det)
+    return loglik
 
 
 def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
     """Align ``scan`` to ``model`` starting from ``pose0``.
 
-    Gates once at ``pose0`` (unless regating is enabled), alternates
-    E-step / M-step, and stops when the log-likelihood gain of one sweep
-    falls below ``config.convergence_epsilon`` or the iteration budget is
-    exhausted.  Per-sweep cost is O(E).
+    Gates once at ``pose0`` (unless regating is enabled), then runs the
+    E-step at ``pose0`` and sweeps M-step / E-step; each E-step also yields
+    the log-likelihood at the pose it evaluated.  Stops when the
+    log-likelihood gain of one sweep falls below
+    ``config.convergence_epsilon`` or the iteration budget is exhausted.
+    Per-sweep cost is O(E).
 
     Raises EmptyInput for empty point sets and NoCorrespondences when the
     gate leaves no candidate pairs.  Running out of iterations is reported
@@ -340,7 +319,7 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
 
     gamma = config.gamma
     pose = pose0
-    loglik = _convergence_metric(graph, pose, gamma, config.reestimate_gamma)
+    loglik = _scored_e_step(graph, pose, gamma, config.reestimate_gamma)
     trace = [loglik]
     converged = False
     iterations = 0
@@ -349,11 +328,14 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
             graph = build_graph(scan, model, pose, window)
             if graph.edge_count == 0:
                 raise NoCorrespondences("regating left no candidate pairs")
-        e_step(graph, pose, gamma)
+            e_step(graph, pose, gamma)
         pose = m_step(graph, gamma)
         if config.reestimate_gamma:
-            gamma = _reestimated_gamma(graph, pose, gamma)
-        new_loglik = _convergence_metric(graph, pose, gamma, config.reestimate_gamma)
+            try:
+                gamma = PrecisionMatrix.from_covariance(residual_covariance(graph, pose)[0])
+            except ValueError:
+                pass    # singular residuals: keep the previous precision
+        new_loglik = _scored_e_step(graph, pose, gamma, config.reestimate_gamma)
         trace.append(new_loglik)
         iterations = iteration
         if new_loglik - loglik < config.convergence_epsilon:
@@ -361,8 +343,7 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
             break
         loglik = new_loglik
 
-    # Responsibilities at the returned pose, so the covariance matches it.
-    e_step(graph, pose, gamma)
+    # The last E-step ran at the returned pose, so the covariance matches it.
     cov, n_p = residual_covariance(graph, pose)
     return RegistrationResult(
         pose=pose,

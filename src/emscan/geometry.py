@@ -22,11 +22,8 @@ __all__ = [
     "Point",
     "Pose",
     "PrecisionMatrix",
-    "apply_pose",
     "as_point_array",
-    "compose_poses",
     "edge_density",
-    "invert_pose",
     "mahalanobis_sq",
     "wrap_angle",
 ]
@@ -159,20 +156,6 @@ class Pose:
                     -self.theta)
 
 
-def apply_pose(pose: Pose, p):
-    """Transform one point or an ``(n, 2)`` array by ``pose``."""
-    return pose.apply(p)
-
-
-def invert_pose(pose: Pose) -> Pose:
-    return pose.inverse()
-
-
-def compose_poses(a: Pose, b: Pose) -> Pose:
-    """The pose applying ``b`` first, then ``a``."""
-    return a.compose(b)
-
-
 @dataclass(frozen=True)
 class PrecisionMatrix:
     """Symmetric positive definite 2x2 precision matrix, units 1/m^2.
@@ -220,8 +203,26 @@ class PrecisionMatrix:
             raise ValueError("matrix is not symmetric")
         return cls(arr[0, 0], 0.5 * (arr[0, 1] + arr[1, 0]), arr[1, 1])
 
+    @classmethod
+    def from_covariance(cls, cov) -> "PrecisionMatrix":
+        """The inverse of a 2x2 noise covariance.
+
+        Raises ValueError when ``cov`` is singular or its inverse is not
+        symmetric positive definite.
+        """
+        cov = np.asarray(cov, dtype=float)
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+        if not (math.isfinite(det) and det > 1e-300):
+            raise ValueError(f"covariance {cov.tolist()} is singular")
+        return cls.from_matrix(
+            np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det)
+
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.g00, self.g01], [self.g01, self.g11]])
+
+    @property
+    def det(self) -> float:
+        return self.g00 * self.g11 - self.g01 * self.g01
 
     @property
     def is_isotropic(self) -> bool:

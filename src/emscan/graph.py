@@ -25,19 +25,21 @@ __all__ = ["MatchGraph", "build_graph", "dump_graph", "outlier_count"]
 class MatchGraph:
     """Gated matches in CSR-style edge arrays grouped by scan point.
 
-    The four edge arrays are parallel and sorted by (scan_idx, model_idx);
+    The edge arrays are parallel and sorted by (scan_idx, model_idx);
     ``row_start[j]:row_start[j + 1]`` slices them for scan point ``j``.
+    ``scan_e`` and ``model_e`` hold each edge's two points, gathered once
+    here so the E-step, M-step and covariance do not re-gather them.
     ``posterior`` is the only mutable field; it is rewritten by the E-step
     and owned by a single registration loop at a time.
     """
 
     scan: np.ndarray        # (n, 2) scan points
     model: np.ndarray       # (m, 2) model points, untransformed
-    gate_pose: Pose         # pose the gate was evaluated at
     window: float           # gate radius W in meters
-    model_gated: np.ndarray  # (m, 2) model under gate_pose, cached
     scan_idx: np.ndarray    # (E,) int64, non-decreasing
     model_idx: np.ndarray   # (E,) int64, ascending within each row
+    scan_e: np.ndarray      # (E, 2) scan[scan_idx]
+    model_e: np.ndarray     # (E, 2) model[model_idx], untransformed
     prior: np.ndarray       # (E,) uniform 1/|N(s_j)| per row
     posterior: np.ndarray   # (E,) responsibilities, initialized to prior
     row_start: np.ndarray   # (n + 1,) int64 offsets into the edge arrays
@@ -88,8 +90,7 @@ def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:
     if not w > 0.0:
         raise NonPositiveRadius(f"window must be > 0, got {w}")
 
-    model_gated = pose0.apply(model)
-    index = GridIndex(model_gated, w)
+    index = GridIndex(pose0.apply(model), w)
 
     n = scan.shape[0]
     counts = np.zeros(n, dtype=np.int64)
@@ -113,11 +114,11 @@ def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:
     return MatchGraph(
         scan=scan,
         model=model,
-        gate_pose=pose0,
         window=float(w),
-        model_gated=model_gated,
         scan_idx=scan_idx,
         model_idx=model_idx,
+        scan_e=scan[scan_idx],
+        model_e=model[model_idx],
         prior=prior,
         posterior=prior.copy(),
         row_start=row_start,

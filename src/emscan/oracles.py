@@ -10,6 +10,7 @@ these ship with the library because the command line exposes them through
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -142,8 +143,7 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
         # restored only when gamma varies between sweeps.
         value = gate_now.loglik(scan, model, pose_now, gamma_now)
         if config.reestimate_gamma:
-            det = gamma_now.g00 * gamma_now.g11 - gamma_now.g01 * gamma_now.g01
-            value += 0.5 * int(np.count_nonzero(gate_now.nonempty)) * math.log(det)
+            value += 0.5 * int(np.count_nonzero(gate_now.nonempty)) * math.log(gamma_now.det)
         return value
 
     pose = pose0
@@ -159,7 +159,11 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
         weights = gate.responsibilities(scan, model, pose, gamma)
         pose = _dense_fit(scan, model, weights, gamma)
         if config.reestimate_gamma:
-            gamma = _dense_refit_gamma(scan, model, weights, pose, gate, gamma)
+            try:
+                gamma = PrecisionMatrix.from_covariance(
+                    _dense_covariance(scan, model, weights, pose, gate)[0])
+            except ValueError:
+                pass    # singular residuals: keep the previous precision
         new_value = metric(gate, pose, gamma)
         trace.append(new_value)
         iterations = iteration
@@ -189,18 +193,6 @@ def _dense_covariance(scan, model, weights, pose, gate):
     rxy = float((weights * diff[..., 0] * diff[..., 1]).sum())
     ryy = float((weights * diff[..., 1] * diff[..., 1]).sum())
     return np.array([[rxx, rxy], [rxy, ryy]]) / n_p, n_p
-
-
-def _dense_refit_gamma(scan, model, weights, pose, gate, fallback):
-    cov, _ = _dense_covariance(scan, model, weights, pose, gate)
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if not (math.isfinite(det) and det > 1e-300):
-        return fallback
-    inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
-    try:
-        return PrecisionMatrix.from_matrix(inv)
-    except ValueError:
-        return fallback
 
 
 def slow_residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]:
@@ -249,14 +241,17 @@ def _fd_hessian(fun, y, h=1e-4) -> np.ndarray:
     return hess
 
 
+def _fit_objective(scan_e, model_e, w, gamma, y) -> float:
+    """The weighted fit objective at pose components ``y = (tx, ty, theta)``."""
+    c, s = math.cos(y[2]), math.sin(y[2])
+    rot = np.array([[c, -s], [s, c]])
+    residual = scan_e - model_e @ rot.T - y[:2]
+    return float(w @ mahalanobis_sq(residual, gamma))
+
+
 def _descend(scan_e, model_e, w, gamma, y0, *, grad_tol=1e-8, max_steps=60):
     """Finite-difference Newton descent on the weighted fit objective."""
-    def fun(y):
-        c, s = math.cos(y[2]), math.sin(y[2])
-        rot = np.array([[c, -s], [s, c]])
-        residual = scan_e - model_e @ rot.T - y[:2]
-        return float(w @ mahalanobis_sq(residual, gamma))
-
+    fun = functools.partial(_fit_objective, scan_e, model_e, w, gamma)
     y = np.asarray(y0, dtype=float).copy()
     value = fun(y)
     for _ in range(max_steps):
@@ -300,13 +295,6 @@ def numerical_m_step(graph: MatchGraph, gamma, *, angle_samples: int = 72) -> Po
         raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
     scan_e = graph.scan[graph.scan_idx]
     model_e = graph.model[graph.model_idx]
-
-    def fun(y):
-        c, s = math.cos(y[2]), math.sin(y[2])
-        rot = np.array([[c, -s], [s, c]])
-        residual = scan_e - model_e @ rot.T - y[:2]
-        return float(w @ mahalanobis_sq(residual, gamma))
-
     c_s = w @ scan_e / total
     c_m = w @ model_e / total
     offsets = (-0.25, 0.0, 0.25)
@@ -317,7 +305,7 @@ def numerical_m_step(graph: MatchGraph, gamma, *, angle_samples: int = 72) -> Po
         for dx in offsets:
             for dy in offsets:
                 y = np.array([center[0] + dx, center[1] + dy, theta])
-                value = fun(y)
+                value = _fit_objective(scan_e, model_e, w, gamma, y)
                 if value < best_value:
                     best_y, best_value = y, value
     return _descend(scan_e, model_e, w, gamma, best_y)

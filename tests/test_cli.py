@@ -251,3 +251,11 @@ class TestUsageErrors:
     def test_missing_argument_exits_one(self):
         proc = run_cli("register")
         assert proc.returncode == 1
+
+    def test_bad_env_value_exits_one(self, tmp_path, monkeypatch, capsys):
+        # In process, so an exception escaping main() fails the test
+        from emscan.cli import main
+        scan_path, model_path, _ = write_scene(tmp_path)
+        monkeypatch.setenv("EMSCAN_MAX_ITERS", "abc")
+        assert main(["register", str(scan_path), str(model_path)]) == 1
+        assert "EMSCAN_MAX_ITERS" in capsys.readouterr().err

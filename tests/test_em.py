@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emscan import (
     DegenerateGeometry,
@@ -12,9 +14,7 @@ from emscan import (
     Pose,
     PrecisionMatrix,
     build_graph,
-    compose_poses,
     e_step,
-    log_marginal_likelihood,
     m_step,
     make_scene,
     numerical_m_step,
@@ -121,17 +121,16 @@ class TestEStep:
 class TestLogMarginalLikelihood:
     def test_zero_edges_scores_zero(self):
         g = build_graph([(0.0, 0.0)], [(9.0, 9.0)], identity, 1.0)
-        assert log_marginal_likelihood(g, identity, eye) == 0.0
+        assert e_step(g, identity, eye) == 0.0
 
     def test_perfect_single_match_scores_zero(self):
         g = build_graph([(0.3, -0.2)], [(0.3, -0.2)], identity, 1.0)
-        assert log_marginal_likelihood(g, identity, eye) == pytest.approx(0.0, abs=1e-15)
+        assert e_step(g, identity, eye) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_candidate_value(self):
         # log(0.5 exp(-1/2) + 0.5 exp(-2)), computed directly
         g = build_graph([(0.0, 0.0)], [(1.0, 0.0), (0.0, 2.0)], identity, 3.0)
-        assert log_marginal_likelihood(g, identity, eye) == pytest.approx(
-            -0.9917339025771928, abs=1e-12)
+        assert e_step(g, identity, eye) == pytest.approx(-0.9917339025771928, abs=1e-12)
 
     def test_matches_direct_sum(self, rng):
         scan = random_cloud(rng, 30)
@@ -151,7 +150,41 @@ class TestLogMarginalLikelihood:
                         + gamma.g11 * r[1] ** 2)
                 total += g.prior[e] * math.exp(-0.5 * quad)
             expected += math.log(total)
-        assert log_marginal_likelihood(g, pose, gamma) == pytest.approx(expected, abs=1e-9)
+        assert e_step(g, pose, gamma) == pytest.approx(expected, abs=1e-9)
+
+
+@st.composite
+def _spd_gamma(draw):
+    g00, g11 = draw(st.floats(0.1, 50.0)), draw(st.floats(0.1, 50.0))
+    return PrecisionMatrix(g00, draw(st.floats(-0.95, 0.95)) * math.sqrt(g00 * g11), g11)
+
+
+def _cloud(max_points):
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, max_points), st.just(2)),
+                      elements=st.floats(-1.0, 1.0))
+
+
+# Ranges keep every density above the float underflow, so the direct sum
+# below stays finite.
+@settings(deadline=None, max_examples=60)
+@given(scan=_cloud(20), model=_cloud(20), window=st.floats(0.05, 1.0),
+       pose=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-math.pi, math.pi)),
+       gamma=_spd_gamma())
+def test_e_step_normalizes_rows_and_returns_loglik(scan, model, window, pose, gamma):
+    g = build_graph(scan, model, identity, window)
+    pose = Pose(*pose)
+    loglik = e_step(g, pose, gamma)
+    expected = 0.0
+    for j in range(g.n_scan):
+        lo, hi = g.row_start[j], g.row_start[j + 1]
+        if lo == hi:
+            continue
+        assert g.posterior[lo:hi].sum() == pytest.approx(1.0, abs=1e-12)
+        r = scan[j] - pose.apply(model[g.model_idx[lo:hi]])
+        quad = (gamma.g00 * r[:, 0] ** 2 + 2 * gamma.g01 * r[:, 0] * r[:, 1]
+                + gamma.g11 * r[:, 1] ** 2)
+        expected += math.log(math.fsum(g.prior[lo:hi] * np.exp(-0.5 * quad)))
+    assert loglik == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestMStep:
@@ -346,7 +379,7 @@ class TestRegister:
         cfg = EmConfig.isotropic(0.02, window_w=0.5, convergence_epsilon=1e-9)
         forward = register(scan, model, identity, cfg).pose
         reverse = register(model, scan, identity, cfg).pose
-        assert_pose_close(compose_poses(forward, reverse), identity, atol=1e-5)
+        assert_pose_close(forward.compose(reverse), identity, atol=1e-5)
 
 
 class TestEmConfig:

@@ -7,11 +7,8 @@ from emscan import (
     Point,
     Pose,
     PrecisionMatrix,
-    apply_pose,
     as_point_array,
-    compose_poses,
     edge_density,
-    invert_pose,
     mahalanobis_sq,
     wrap_angle,
 )
@@ -106,12 +103,12 @@ class TestPose:
             Pose(0, 0, math.inf)
 
     def test_composition_law(self, rng):
-        # apply(a, apply(b, p)) == apply(compose(a, b), p)
+        # a.apply(b.apply(p)) == a.compose(b).apply(p)
         for _ in range(50):
             a, b = random_pose(rng), random_pose(rng)
             p = Point(*rng.uniform(-2, 2, 2))
             lhs = a.apply(b.apply(p))
-            rhs = compose_poses(a, b).apply(p)
+            rhs = a.compose(b).apply(p)
             assert lhs.x == pytest.approx(rhs.x, abs=1e-12)
             assert lhs.y == pytest.approx(rhs.y, abs=1e-12)
 
@@ -125,23 +122,23 @@ class TestPose:
             assert_pose_close(a.compose(a.inverse()), identity, atol=1e-12)
 
     def test_invert_examples(self):
-        assert invert_pose(Pose(0, 0, 0)) == Pose(0, 0, 0)
-        assert_pose_close(invert_pose(Pose(1, 0, 0)), Pose(-1, 0, 0), atol=1e-15)
-        assert_pose_close(invert_pose(Pose(1, 2, math.pi / 2)),
+        assert Pose(0, 0, 0).inverse() == Pose(0, 0, 0)
+        assert_pose_close(Pose(1, 0, 0).inverse(), Pose(-1, 0, 0), atol=1e-15)
+        assert_pose_close(Pose(1, 2, math.pi / 2).inverse(),
                           Pose(-2, 1, -math.pi / 2), atol=1e-15)
 
     def test_invert_roundtrip_on_points(self, rng):
         for _ in range(50):
             g = random_pose(rng)
             p = Point(*rng.uniform(-2, 2, 2))
-            back = invert_pose(g).apply(g.apply(p))
+            back = g.inverse().apply(g.apply(p))
             assert back.x == pytest.approx(p.x, abs=1e-12)
             assert back.y == pytest.approx(p.y, abs=1e-12)
 
     def test_array_roundtrip(self):
         g = Pose(0.3, -0.2, 0.5)
         assert Pose.from_array(g.to_array()) == g
-        assert apply_pose(g, np.zeros(2)) == pytest.approx([0.3, -0.2])
+        assert g.apply(np.zeros(2)) == pytest.approx([0.3, -0.2])
 
 
 class TestPrecisionMatrix:

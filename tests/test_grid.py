@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from emscan import GridIndex, NonPositiveRadius, brute_force_neighbors
+from emscan import GridIndex, NonPositiveRadius, ScanMatchError, brute_force_neighbors
 from conftest import random_cloud
 
 
@@ -111,3 +113,78 @@ def test_negative_coordinates(rng):
         q = rng.uniform(-10.5, -4.5, 2)
         assert set(index.query_radius(q).tolist()) == \
             set(brute_force_neighbors(pts, q, 0.6).tolist())
+
+
+def test_large_coordinates_with_tiny_radius():
+    # floor(p / w) is about 1e19 here, beyond int64; keys count cells from
+    # the points' minimum corner instead, so both points are found
+    pts = np.array([[1e10, 0.0], [1e10 + 1e-10, 0.0]])
+    index = GridIndex(pts, 1e-9)
+    expected = brute_force_neighbors(pts, pts[0], 1e-9).tolist()
+    assert expected == [0, 1]
+    assert sorted(index.query_radius(pts[0]).tolist()) == expected
+
+
+def test_rounding_at_cell_boundary_keeps_neighbor():
+    # (q - corner) / w and (p - corner) / w round two cells apart although
+    # ||p - q|| < w; the cell's widening over the radius absorbs this
+    w, corner, p, q = 0.8574060222691, -2030.427544920923, 15613.273581332616, 15614.130987354885
+    pts = np.array([[corner, 0.0], [p, 0.0]])
+    assert brute_force_neighbors(pts, (q, 0.0), w).tolist() == [1]
+    assert GridIndex(pts, w).query_radius((q, 0.0)).tolist() == [1]
+
+
+def test_unkeyable_span_is_refused():
+    with pytest.raises(ScanMatchError):
+        GridIndex([(0.0, 0.0), (1e10, 0.0)], 1e-9)
+    with pytest.raises(ScanMatchError):
+        GridIndex([(-1e308, 0.0), (1e308, 0.0)], 1.0)
+
+
+def test_out_of_range_query_is_empty():
+    index = GridIndex([(0.0, 0.0), (1.0, 1.0)], 0.5)
+    for q in [(1e300, 0.0), (0.0, -1e300), (-1e308, 1e308)]:
+        assert index.query_radius(q).size == 0
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _grid_case(draw):
+    """Points, a radius and queries, with queries near the points.
+
+    The points are either arbitrary finite values or a cluster a few radii
+    wide around an arbitrary anchor; each query is a point moved by up to
+    two radii per axis, so many sit near the radius boundary.
+    """
+    radius = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        points = draw(hnp.arrays(np.float64, (n, 2), elements=_finite))
+    else:
+        anchor = np.array(draw(st.tuples(_finite, _finite)))
+        steps = draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(-4.0, 4.0)))
+        with np.errstate(all="ignore"):
+            points = anchor + radius * steps
+    factors = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), 2),
+                              elements=st.floats(-2.0, 2.0)))
+    with np.errstate(all="ignore"):
+        queries = points[np.arange(len(factors)) % n] + radius * factors
+    return points, radius, queries
+
+
+@settings(deadline=None, max_examples=300)
+@given(_grid_case())
+def test_matches_brute_force_for_any_finite_input(case):
+    with np.errstate(all="ignore"):
+        points, radius, queries = case
+        if not np.isfinite(points).all():
+            return      # the cluster overflowed; not a finite input
+        try:
+            index = GridIndex(points, radius)
+        except ScanMatchError:
+            return      # refusing loudly is allowed, a wrong answer is not
+        for q in queries:
+            assert sorted(index.query_radius(q).tolist()) == \
+                brute_force_neighbors(points, q, radius).tolist()
