@@ -23,12 +23,11 @@ from .em import (
     DEFAULT_CONVERGENCE_EPSILON,
     DEFAULT_MAX_ITERATIONS,
     EmConfig,
-    e_step,
     register,
 )
 from .errors import ScanMatchError
 from .geometry import Pose, PrecisionMatrix
-from .graph import build_graph, dump_graph
+from .graph import dump_graph
 from .oracles import dense_em_register
 from .scanio import load_points, save_points
 from .synth import SHAPES, make_scene
@@ -203,10 +202,7 @@ def cmd_register(args) -> int:
     elapsed = time.perf_counter() - start
 
     if args.dump_graph:
-        graph = build_graph(scan, model, pose0, config.resolved_window())
-        if graph.edge_count:
-            e_step(graph, result.pose, config.gamma)
-        dump_graph(graph, args.dump_graph)
+        dump_graph(result.graph, args.dump_graph)
 
     theta_out = math.degrees(result.pose.theta) if args.degrees else result.pose.theta
     record = {

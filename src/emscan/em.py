@@ -105,7 +105,8 @@ class RegistrationResult:
     ``loglik_trace`` starts at the initial pose's log-likelihood and gains
     one entry per sweep; in the default configuration it is non-decreasing
     up to float noise.  ``converged=False`` is a valid outcome, not an
-    error: it means the iteration budget ran out first.
+    error: it means the iteration budget ran out first.  ``graph`` is the
+    match graph the final E-step ran on; its posterior is at ``pose``.
     """
 
     pose: Pose
@@ -114,6 +115,7 @@ class RegistrationResult:
     loglik_trace: np.ndarray
     n_inliers: int
     converged: bool
+    graph: MatchGraph
 
 
 def _edge_exponents(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> np.ndarray:
@@ -352,4 +354,5 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
         loglik_trace=np.asarray(trace),
         n_inliers=n_p,
         converged=converged,
+        graph=graph,
     )

@@ -66,6 +66,17 @@ class MatchGraph:
         """Scan points with at least one gated neighbor (n_P)."""
         return int(np.count_nonzero(self.neighbor_counts))
 
+    @classmethod
+    def from_edges(cls, scan, model, window, scan_idx, model_idx) -> "MatchGraph":
+        """Graph over edges sorted by (scan_idx, model_idx), with uniform priors per row."""
+        counts = np.bincount(scan_idx, minlength=scan.shape[0])
+        prior = np.repeat(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0), counts)
+        return cls(scan=scan, model=model, window=float(window),
+                   scan_idx=scan_idx, model_idx=model_idx,
+                   scan_e=scan[scan_idx], model_e=model[model_idx],
+                   prior=prior, posterior=prior.copy(),
+                   row_start=np.concatenate(([0], np.cumsum(counts))))
+
     def edge_set(self) -> set[tuple[int, int]]:
         """All (scan index, model index) pairs, for comparisons."""
         return set(zip(self.scan_idx.tolist(), self.model_idx.tolist()))
@@ -90,39 +101,9 @@ def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:
     if not w > 0.0:
         raise NonPositiveRadius(f"window must be > 0, got {w}")
 
-    index = GridIndex(pose0.apply(model), w)
-
-    n = scan.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    rows = []
-    for j in range(n):
-        hits = index.query_radius(scan[j])
-        if hits.size > 1:
-            hits = np.sort(hits)
-        counts[j] = hits.size
-        if hits.size:
-            rows.append(hits)
-
-    row_start = np.concatenate(([0], np.cumsum(counts)))
-    if rows:
-        model_idx = np.concatenate(rows)
-    else:
-        model_idx = np.empty(0, dtype=np.int64)
-    scan_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
-    prior = np.repeat(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0), counts)
-
-    return MatchGraph(
-        scan=scan,
-        model=model,
-        window=float(w),
-        scan_idx=scan_idx,
-        model_idx=model_idx,
-        scan_e=scan[scan_idx],
-        model_e=model[model_idx],
-        prior=prior,
-        posterior=prior.copy(),
-        row_start=row_start,
-    )
+    scan_idx, model_idx = GridIndex(pose0.apply(model), w).query_pairs(scan)
+    order = np.argsort(scan_idx * model.shape[0] + model_idx)    # by (scan, model)
+    return MatchGraph.from_edges(scan, model, w, scan_idx[order], model_idx[order])
 
 
 def outlier_count(graph: MatchGraph) -> int:

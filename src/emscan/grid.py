@@ -1,30 +1,31 @@
-"""Uniform hash grid over 2D points for fixed-radius neighbor queries.
+"""Uniform grid over 2D points for fixed-radius neighbor queries, as a sorted cell list.
 
-The cell size is the query radius (widened slightly, see below), so the
-3x3 block of cells around a query's cell always covers the full search disk
-(any point within radius W of a query differs by at most one cell index per
-axis).  With bounded point density each query touches at most nine cells,
-giving O(1) amortized cost per query and O(n) construction.
+The cell size is the query radius (widened slightly, see below), so the 3x3
+block of cells around a query's cell covers the whole search disk.  Cell
+``(kx, ky)``, counted from the points' minimum corner, is packed into the
+int64 key ``kx * 2**30 + ky``; the keys are stored sorted, with the argsort
+that sorted them.  A block's three cells in one column have consecutive
+keys, so ``searchsorted`` at the ends of three runs finds all nine cells,
+for a whole batch of queries at once.
 
-Cell keys count cells from the points' minimum corner.  The cell is wider
-than the radius by a relative 2**-20 and keys are capped at 2**30, so the
-rounding of ``(p - corner) / cell`` never moves a point within the radius
-two cells away.  The grid therefore returns exactly what an exhaustive scan
-returns, or refuses the point set at build time.
+Exactness: the cell is wider than the radius by a relative 2**-20 and keys
+are capped at 2**30, so the rounding of ``(p - corner) / cell`` never moves
+a point within the radius two cells away.  Rows are clipped to ``[0, 2**30)``
+and a column out of range keys below or above every point, so packing loses
+no candidate, and candidates pass the strict squared-distance test of an
+exhaustive scan.  The grid returns exactly what that scan returns, or refuses
+the point set at build time.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NonPositiveRadius, ScanMatchError
-from .geometry import Point, as_point_array
+from .geometry import _as_xy, as_point_array
 
 __all__ = ["GridIndex"]
 
-_NEIGHBOR_OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
 _CELL_WIDENING = 1.0 + 2.0**-20
 _MAX_KEY = 2**30
 
@@ -44,19 +45,17 @@ class GridIndex:
         self._radius = float(radius)
         self._radius_sq = self._radius * self._radius
         self._cell_size = self._radius * _CELL_WIDENING
-        self._origin = (0.0, 0.0)
+        self._origin = self._points.min(axis=0) if len(self._points) else np.zeros(2)
 
-        buckets: dict[tuple[int, int], list[int]] = {}
-        if len(self._points):
-            self._origin = tuple(self._points.min(axis=0).tolist())
-            with np.errstate(over="ignore", invalid="ignore"):
-                keys = np.floor((self._points - self._origin) / self._cell_size)
-            if not (keys < _MAX_KEY).all():     # also false for inf and nan
-                raise ScanMatchError(
-                    f"point set spans more than {_MAX_KEY} cells of {self._radius} m")
-            for i, key in enumerate(map(tuple, keys.astype(np.int64).tolist())):
-                buckets.setdefault(key, []).append(i)
-        self._cells = {k: np.asarray(v, dtype=np.int64) for k, v in buckets.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = np.floor((self._points - self._origin) / self._cell_size)
+        if not (cells < _MAX_KEY).all():     # also false for inf and nan
+            raise ScanMatchError(
+                f"point set spans more than {_MAX_KEY} cells of {self._radius} m")
+        cells = cells.astype(np.int64)
+        keys = cells[:, 0] * _MAX_KEY + cells[:, 1]
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
 
     def __len__(self) -> int:
         return len(self._points)
@@ -71,31 +70,43 @@ class GridIndex:
 
     @property
     def occupied_cells(self) -> int:
-        return len(self._cells)
+        return int(np.unique(self._keys).size)
+
+    def query_pairs(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """All pairs ``(i, k)`` with ``||points[k] - queries[i]|| < radius``.
+
+        Returns two parallel int64 arrays ``(query_idx, point_idx)``.
+        ``query_idx`` is non-decreasing; the order of points within one
+        query is unspecified but deterministic for a fixed build.  A query
+        whose cell key is out of range has no neighbors, as has a
+        non-finite one.  Costs O(q log n) plus the candidates of the nine
+        cells around each query.
+        """
+        q = np.asarray(queries, dtype=float)
+        if q.ndim != 2 or q.shape[1] != 2:
+            raise ValueError(f"expected an (n, 2) query array, got shape {q.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = (q - self._origin) / self._cell_size
+        # Out-of-range queries are moved to cell (-2, -2), whose block is empty.
+        inside = (np.abs(k) <= _MAX_KEY + 1).all(axis=1)     # false for inf and nan
+        cells = np.floor(np.where(inside[:, None], k, -2.0)).astype(np.int64)
+        row_lo = np.maximum(cells[:, 1] - 1, 0)[:, None]
+        row_hi = np.minimum(cells[:, 1] + 1, _MAX_KEY - 1)[:, None]
+        columns = (cells[:, :1] + np.arange(-1, 2)) * _MAX_KEY
+        lo = np.searchsorted(self._keys, columns + row_lo)
+        hi = np.searchsorted(self._keys, columns + row_hi, side="right")
+        counts = np.maximum(hi - lo, 0)
+
+        per_query = counts.sum(axis=1)
+        query_idx = np.repeat(np.arange(len(q), dtype=np.int64), per_query)
+        counts = counts.ravel()
+        run_start = np.cumsum(counts) - counts
+        slots = np.arange(query_idx.size) + np.repeat(lo.ravel() - run_start, counts)
+        point_idx = self._order[slots]
+        d = np.take(self._points, point_idx, axis=0) - np.repeat(q, per_query, axis=0)
+        keep = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < self._radius_sq
+        return query_idx[keep], point_idx[keep]
 
     def query_radius(self, q) -> np.ndarray:
-        """Indices ``i`` with ``||points[i] - q|| < radius``.
-
-        The order is unspecified but deterministic for a fixed build.  A
-        query whose cell key is out of range has no neighbors and returns
-        nothing.
-        """
-        qa = np.asarray(tuple(q) if isinstance(q, Point) else q, dtype=float)
-        if qa.shape != (2,):
-            raise ValueError(f"expected a single 2D query point, got shape {qa.shape}")
-        kx = (float(qa[0]) - self._origin[0]) / self._cell_size
-        ky = (float(qa[1]) - self._origin[1]) / self._cell_size
-        if not (abs(kx) <= _MAX_KEY + 1 and abs(ky) <= _MAX_KEY + 1):
-            return np.empty(0, dtype=np.int64)
-        cx, cy = math.floor(kx), math.floor(ky)
-        hits = []
-        for dx, dy in _NEIGHBOR_OFFSETS:
-            bucket = self._cells.get((cx + dx, cy + dy))
-            if bucket is not None:
-                hits.append(bucket)
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        cand = np.concatenate(hits)
-        d = self._points[cand] - qa
-        mask = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < self._radius_sq
-        return cand[mask]
+        """Indices ``i`` with ``||points[i] - q|| < radius``: one row of ``query_pairs``."""
+        return self.query_pairs(_as_xy(q)[None])[1]

@@ -174,6 +174,9 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
 
     weights = gate.responsibilities(scan, model, pose, gamma)
     cov, n_p = _dense_covariance(scan, model, weights, pose, gate)
+    graph = MatchGraph.from_edges(scan, model, w, *np.nonzero(gate.adjacency))
+    graph.prior[:] = gate.prior[gate.adjacency]
+    graph.posterior[:] = weights[gate.adjacency]
     return RegistrationResult(
         pose=pose,
         residual_covariance=cov,
@@ -181,6 +184,7 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
         loglik_trace=np.asarray(trace),
         n_inliers=n_p,
         converged=converged,
+        graph=graph,
     )
 
 

@@ -159,6 +159,17 @@ class TestRegisterCommand:
             assert 0.0 <= float(pri) <= 1.0
             assert 0.0 <= float(post) <= 1.0
 
+    def test_regate_dump_is_final_graph(self, tmp_path):
+        scan_path, model_path, _ = write_scene(
+            tmp_path, shape="l-shape", pose=Pose(0.15, -0.1, math.radians(4.0)),
+            noise_sigma=0.01)
+        dump = tmp_path / "edges.txt"
+        proc = run_cli("register", scan_path, model_path, "--sigma", "0.02",
+                       "--w", "0.1", "--regate", "--dump-graph", dump)
+        assert proc.returncode in (0, 2), proc.stderr
+        rows = {line.split()[0] for line in dump.read_text().splitlines()}
+        assert len(rows) == json.loads(proc.stdout)["n_inliers"]
+
     def test_env_var_sets_default(self, tmp_path):
         scan_path, model_path, _ = write_scene(tmp_path)
         proc = run_cli("register", scan_path, model_path,

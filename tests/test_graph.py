@@ -2,11 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emscan import (
     EmptyInput,
     NonPositiveRadius,
     Pose,
+    ScanMatchError,
     build_graph,
     dump_graph,
     outlier_count,
@@ -86,6 +89,57 @@ class TestBuildGraph:
             inside = d[..., 0] ** 2 + d[..., 1] ** 2 < w * w
             expected = set(zip(*map(list, np.nonzero(inside))))
             assert g.edge_set() == expected
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _gate_case(draw):
+    """Scan and model clouds, a gate pose and a window.
+
+    Each cloud is either arbitrary finite values or a cluster a few windows
+    wide around an anchor: the model's anchor is arbitrary and the scan's
+    is that anchor moved by the pose, so many pairs sit near the window.
+    """
+    w = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    pose = Pose(draw(_finite), draw(_finite), draw(st.floats(-4.0, 4.0)))
+    anchor = np.array(draw(st.tuples(_finite, _finite)))
+
+    def cloud(center):
+        n = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            return draw(hnp.arrays(np.float64, (n, 2), elements=_finite))
+        steps = draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(-4.0, 4.0)))
+        return center + w * steps
+
+    with np.errstate(all="ignore"):
+        model = cloud(anchor)
+        scan = cloud(pose.apply(anchor))
+    return scan, model, pose, w
+
+
+@settings(deadline=None, max_examples=300)
+@given(_gate_case())
+def test_gate_is_all_pairs_csr_for_any_finite_input(case):
+    scan, model, pose, w = case
+    with np.errstate(all="ignore"):
+        proj = pose.apply(model)
+        if not (np.isfinite(scan).all() and np.isfinite(proj).all()):
+            return      # a cloud or the projected model overflowed; not a finite input
+        d = proj[None, :, :] - scan[:, None, :]
+        inside = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] < w * w
+        try:
+            g = build_graph(scan, model, pose, w)
+        except ScanMatchError:
+            return      # refusing loudly is allowed, a wrong answer is not
+    assert g.edge_set() == set(zip(*map(list, np.nonzero(inside))))
+    assert (np.diff(g.scan_idx) >= 0).all()
+    same_row = np.diff(g.scan_idx) == 0
+    assert (np.diff(g.model_idx)[same_row] > 0).all()
+    assert g.row_start[0] == 0
+    np.testing.assert_array_equal(np.diff(g.row_start), inside.sum(axis=1))
+    np.testing.assert_array_equal(g.prior, 1.0 / np.diff(g.row_start)[g.scan_idx])
 
 
 class TestOutlierCount:
