@@ -7,8 +7,8 @@ improving:
 * E-step: per-edge responsibilities, the posterior probability that a scan
   point measures a given gated model point under the current pose.
 * M-step: the pose minimizing the responsibility-weighted squared
-  Mahalanobis residual sum, closed-form for isotropic precision and
-  Gauss-Newton refined otherwise.
+  Mahalanobis residual sum: closed form for isotropic precision, else a
+  scalar minimization over the rotation from two weighted 2x2 moments.
 
 Each sweep costs O(E) over the gated edges, which is O(n) in the scan size
 for bounded-density scenes.  After convergence the residual covariance is
@@ -51,8 +51,10 @@ GATE_SIGMA_MULTIPLE = 3.0
 
 _MIN_TOTAL_WEIGHT = 1e-12
 _DEEP_TAIL_LOG = -700.0
-_GN_GRAD_TOL = 1e-9
-_GN_MAX_STEPS = 200
+_NEWTON_MAX_STEPS = 16
+_MAX_TURN = math.pi / 8
+#: Rounding error of the rotation objective's normalized slope.
+_SLOPE_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -171,92 +173,86 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     return loglik
 
 
-def _weighted_pairs(graph: MatchGraph):
+def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
+    """Pose minimizing ``sum_e posterior_e * ||s_e - T(m_e, y)||^2_Gamma``.
+
+    With weighted centroids ``c_s``, ``c_m`` and moments ``A = sum_e w_e
+    (m_e - c_m)(s_e - c_s)^T``, ``B = sum_e w_e (m_e - c_m)(m_e - c_m)^T``,
+    the best translation for a rotation ``R`` is ``c_s - R c_m``, leaving
+    ``f(theta) = tr(Gamma R B R^T) - 2 tr(Gamma R A)``.  For isotropic
+    ``gamma`` the first term is constant and ``atan2(A01 - A10, A00 + A11)``
+    is exact; otherwise it seeds ``_anisotropic_theta``, which reads no edge.
+    """
     w = graph.posterior
     if graph.edge_count == 0 or not np.any(w > 0.0):
         raise NoCorrespondences("all responsibilities are zero")
     total = float(w.sum())
     if total < _MIN_TOTAL_WEIGHT:
         raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
-    return graph.scan_e, graph.model_e, w, total
-
-
-def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
-    """Pose minimizing ``sum_e posterior_e * ||s_e - T(m_e, y)||^2_Gamma``.
-
-    For isotropic ``gamma`` the closed form is exact: with weighted
-    centroids ``c_s``, ``c_m`` and cross-covariance
-    ``H = sum_e w_e (m_e - c_m)(s_e - c_s)^T``, the optimum is
-    ``theta* = atan2(H01 - H10, H00 + H11)`` and
-    ``t* = c_s - Rot(theta*) c_m``.  Anisotropic precisions reweight the
-    residual components, so the closed form only seeds a Gauss-Newton
-    refinement run to gradient norm below 1e-9.
-    """
-    scan_e, model_e, w, total = _weighted_pairs(graph)
-    c_s = w @ scan_e / total
-    c_m = w @ model_e / total
-    st = scan_e - c_s
-    mt = model_e - c_m
-    h = (mt * w[:, None]).T @ st
+    c_s = w @ graph.scan_e / total
+    c_m = w @ graph.model_e / total
+    mt = graph.model_e - c_m
+    wm = (mt * w[:, None]).T
+    h = wm @ (graph.scan_e - c_s)
     theta = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
+    if not gamma.is_isotropic:
+        theta = _anisotropic_theta(gamma, h, wm @ mt, theta)
     c, s = math.cos(theta), math.sin(theta)
-    pose = Pose(c_s[0] - (c * c_m[0] - s * c_m[1]),
+    return Pose(c_s[0] - (c * c_m[0] - s * c_m[1]),
                 c_s[1] - (s * c_m[0] + c * c_m[1]),
                 theta)
-    if not gamma.is_isotropic:
-        pose = _gauss_newton_pose(scan_e, model_e, w, gamma, pose)
-    return pose
 
 
-def _objective(scan_e, model_e, w, gamma, y) -> float:
-    """The M-step objective at pose components ``y = (tx, ty, theta)``."""
-    c, s = math.cos(y[2]), math.sin(y[2])
-    rot = np.array([[c, -s], [s, c]])
-    residual = scan_e - model_e @ rot.T - y[:2]
-    return float(w @ mahalanobis_sq(residual, gamma))
+def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
+    """Global minimum of ``f(theta) = tr(Gamma R B R^T) - 2 tr(Gamma R A)``.
+
+    Scaled and up to a constant, ``f = u cos 2theta + v sin 2theta - 2 (p cos
+    theta + q sin theta)`` with ``|u| + |v| + |p| + |q| = 1``; its critical
+    points are the unit-circle roots of a quartic in ``exp(i theta)``.  Newton
+    descents start from ``seed`` and from each root's angle; one replaces the
+    best so far only when lower by more than its rounding error, so the
+    result is never above ``f(seed)``.
+    """
+    g00, g01, g11 = gamma.g00, gamma.g01, gamma.g11
+    d, e, gd = 0.5 * (b[0, 0] - b[1, 1]), b[0, 1], g00 - g11
+    coef = np.array([gd * d + 2.0 * g01 * e,
+                     2.0 * g01 * d - gd * e,
+                     a[0, 0] * g00 + a[0, 1] * g01 + a[1, 0] * g01 + a[1, 1] * g11,
+                     a[0, 0] * g01 + a[0, 1] * g11 - a[1, 0] * g00 - a[1, 1] * g01])
+    u, v, p, q = (coef / (np.abs(coef).sum() or 1.0)).tolist()    # all zero: f is flat
+    starts = [seed]
+    if math.hypot(u, v) > _SLOPE_ROUNDING:      # else the isotropic seed is exact
+        quartic = [complex(v, u), -complex(q, p), 0.0, -complex(q, -p), complex(v, -u)]
+        starts += np.angle(np.roots(quartic)).tolist()
+    best = seed
+    for start in starts:
+        theta = _descend_theta(u, v, p, q, start)
+        half, mid = 0.5 * (theta - best), 0.5 * (theta + best)
+        # f(theta) - f(best) by sum-to-product, free of cancellation in f
+        rise = (2.0 * math.sin(2.0 * half) * (v * math.cos(2.0 * mid) - u * math.sin(2.0 * mid))
+                + 4.0 * math.sin(half) * (p * math.sin(mid) - q * math.cos(mid)))
+        if rise < -_SLOPE_ROUNDING * abs(theta - best):
+            best = theta
+    return best
 
 
-def _gauss_newton_pose(scan_e, model_e, w, gamma: PrecisionMatrix, start: Pose) -> Pose:
-    """Refine the weighted fit for anisotropic precision."""
-    gm = gamma.as_matrix()
-    y = start.to_array()
-    value = _objective(scan_e, model_e, w, gamma, y)
-    for _ in range(_GN_MAX_STEPS):
-        c, s = math.cos(y[2]), math.sin(y[2])
-        rot = np.array([[c, -s], [s, c]])
-        drot = np.array([[-s, -c], [c, -s]])
-        residual = scan_e - model_e @ rot.T - y[:2]
-        spun = model_e @ drot.T              # d(rot @ m)/dtheta per edge
-        g_res = residual @ gm
-        grad = -2.0 * np.array([
-            w @ g_res[:, 0],
-            w @ g_res[:, 1],
-            w @ np.einsum("ij,ij->i", g_res, spun),
-        ])
-        if np.linalg.norm(grad) < _GN_GRAD_TOL:
+def _descend_theta(u, v, p, q, theta: float) -> float:
+    """Newton descent on ``f``, taking a ``_MAX_TURN`` step downhill where the
+    curvature is not positive or the Newton step is longer.  Stops once the
+    slope is within its rounding error or the step underflows."""
+    for _ in range(_NEWTON_MAX_STEPS):
+        c, s = math.cos(theta), math.sin(theta)
+        c2, s2 = c * c - s * s, 2.0 * s * c
+        slope = v * c2 - u * s2 + p * s - q * c                 # f'/2
+        if abs(slope) <= _SLOPE_ROUNDING:
             break
-        g_spun = spun @ gm
-        cross = (w[:, None] * g_spun).sum(axis=0)
-        hess = np.empty((3, 3))
-        hess[:2, :2] = 2.0 * w.sum() * gm
-        hess[:2, 2] = 2.0 * cross
-        hess[2, :2] = 2.0 * cross
-        hess[2, 2] = 2.0 * float(w @ np.einsum("ij,ij->i", spun, g_spun))
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        alpha = 1.0
-        while alpha > 1e-8:
-            trial = y + alpha * step
-            trial_value = _objective(scan_e, model_e, w, gamma, trial)
-            if trial_value <= value + 1e-12:
-                y, value = trial, trial_value
-                break
-            alpha *= 0.5
-        else:
+        curv = p * c + q * s - 2.0 * (u * c2 + v * s2)          # f''/2
+        step = -slope / curv if curv > 0.0 else -math.copysign(_MAX_TURN, slope)
+        step = max(-_MAX_TURN, min(_MAX_TURN, step))
+        if theta + step == theta:
             break
-    return Pose.from_array(y)
+        theta += step
+    return theta
 
 
 def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]:

@@ -103,8 +103,11 @@ class GridIndex:
         run_start = np.cumsum(counts) - counts
         slots = np.arange(query_idx.size) + np.repeat(lo.ravel() - run_start, counts)
         point_idx = self._order[slots]
-        d = np.take(self._points, point_idx, axis=0) - np.repeat(q, per_query, axis=0)
-        keep = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < self._radius_sq
+        # Far-apart finite points may overflow to inf here; inf fails the
+        # test, as it does in the exhaustive scan.
+        with np.errstate(over="ignore"):
+            d = np.take(self._points, point_idx, axis=0) - np.repeat(q, per_query, axis=0)
+            keep = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < self._radius_sq
         return query_idx[keep], point_idx[keep]
 
     def query_radius(self, q) -> np.ndarray:

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from emscan import (
@@ -13,6 +14,7 @@ from emscan import (
     NoInliers,
     Pose,
     PrecisionMatrix,
+    SHAPES,
     build_graph,
     e_step,
     m_step,
@@ -250,6 +252,67 @@ class TestMStep:
             fitted = m_step(g, gamma)
             grad = fd_gradient(lambda y: fit_objective(g, gamma, y), fitted.to_array())
             assert np.linalg.norm(grad) < 1e-6
+
+
+@st.composite
+def _oriented_gamma(draw, max_ratio):
+    """Precision with eigenvalues ``lam`` and ``lam * ratio`` about any axis."""
+    lam, ratio = draw(st.floats(0.1, 10.0)), draw(st.floats(1.0, max_ratio))
+    rot = Pose(0.0, 0.0, draw(st.floats(0.0, math.pi))).rotation()
+    return PrecisionMatrix.from_matrix(rot @ np.diag([lam, lam * ratio]) @ rot.T)
+
+
+@st.composite
+def _weighted_graph(draw):
+    """A gated graph with random posteriors, its model possibly nearly collinear
+    and its scan either unrelated to the model or a noisy rigid copy of it."""
+    model = draw(_cloud(25))
+    if draw(st.booleans()):
+        model[:, 1] *= draw(st.floats(0.0, 1e-3))
+    if draw(st.booleans()):
+        scan = draw(_cloud(25))
+    else:
+        pose = Pose(*draw(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                                    st.floats(-math.pi, math.pi))))
+        noise = draw(hnp.arrays(np.float64, model.shape, elements=st.floats(-0.1, 0.1)))
+        scan = pose.apply(model) + noise
+    g = build_graph(scan, model, identity, draw(st.floats(0.1, 3.0)))
+    g.posterior[:] = draw(hnp.arrays(np.float64, g.edge_count, elements=st.floats(0.0, 1.0)))
+    return g
+
+
+@settings(deadline=None, max_examples=40)
+@given(g=_weighted_graph(), gamma=_oriented_gamma(1e3))
+def test_anisotropic_m_step_is_stationary_and_no_worse(g, gamma):
+    assume(g.posterior.sum() > 1e-3)
+    objective = functools.partial(fit_objective, g, gamma)
+    fitted = m_step(g, gamma).to_array()
+    f_fit = objective(fitted)
+    # Finite differences of the full 3-D objective, independent of the
+    # rotation-only reduction m_step solves; tolerances scale with its size.
+    size = 1.0 + f_fit + float(g.posterior.sum()) * gamma.eigenvalues()[1]
+    assert np.linalg.norm(fd_gradient(objective, fitted)) < 1e-6 * size
+    f_seed = objective(m_step(g, eye).to_array())
+    assert f_fit <= f_seed + 1e-10 * max(1.0, f_seed)
+    f_slow = objective(numerical_m_step(g, gamma).to_array())
+    assert f_fit <= f_slow + 1e-10 * max(1.0, f_slow)
+
+
+@settings(deadline=None, max_examples=40)
+@given(shape=st.sampled_from(SHAPES), n=st.integers(20, 80),
+       pert=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-0.2, 0.2)),
+       sigma=st.floats(0.01, 0.1), anisotropic=st.booleans(),
+       gamma_shape=_oriented_gamma(1e2), seed=st.integers(0, 2**16))
+def test_default_mode_trace_is_monotone(shape, n, pert, sigma, anisotropic, gamma_shape, seed):
+    model, scan, _ = make_scene(shape, n, Pose(*pert), noise_sigma=sigma, seed=seed)
+    gamma = PrecisionMatrix.isotropic(sigma)
+    if anisotropic:
+        gamma = PrecisionMatrix.from_matrix(gamma_shape.as_matrix() / (sigma * sigma))
+    try:
+        res = register(scan, model, identity, EmConfig(gamma=gamma, window_w=0.5))
+    except NoCorrespondences:
+        return      # the gate at identity found nothing: no trace to check
+    assert (np.diff(res.loglik_trace) >= -1e-9).all()
 
 
 class TestResidualCovariance:

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ class TestBuildGraph:
         assert g.edge_count == 1
         g2 = build_graph([(1.0, 0.0)], [(0.0, 0.0)], identity, 0.5)
         assert g2.edge_count == 0
+
+    def test_huge_coordinates_raise_no_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = build_graph([[0.0, 0.0], [2e300, 0.0]], [[0.0, 0.0]], identity, 1.5e300)
+        assert set(zip(g.scan_idx.tolist(), g.model_idx.tolist())) == {(0, 0)}
 
     def test_csr_layout(self, rng):
         scan = random_cloud(rng, 80)
