@@ -181,10 +181,6 @@ def _make_gamma(args) -> PrecisionMatrix:
 def cmd_register(args) -> int:
     scan = load_points(args.scan)
     model = load_points(args.model)
-    if model.shape[0] == 0:
-        raise ValueError("empty model")
-    if scan.shape[0] == 0:
-        raise ValueError("empty scan")
 
     pose0_vals = _triple(args.pose0, "--pose0")
     theta0 = math.radians(pose0_vals[2]) if args.degrees else pose0_vals[2]

@@ -67,7 +67,13 @@ class EmConfig:
     current pose every sweep instead of holding the initial gate fixed;
     ``reestimate_gamma`` refits the precision from the residual covariance
     between sweeps.  Both are off by default, and the log-likelihood trace
-    is guaranteed non-decreasing only with both off.
+    is guaranteed non-decreasing only with both off.  ``register`` and
+    ``oracles.dense_em_register`` read these settings in one shared loop.
+
+    Known limitation: with ``regate_each_iteration`` the stopping rule
+    compares the log-likelihood on the graph rebuilt this sweep with the
+    previous one on the previous graph, so a change of gate can end a run
+    early with ``converged=True`` and a pose short of the optimum.
     """
 
     gamma: PrecisionMatrix
@@ -274,21 +280,6 @@ def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]
     return np.array([[rxx, rxy], [rxy, ryy]]) / n_p, n_p
 
 
-def _scored_e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix,
-                   with_normalizer: bool) -> float:
-    """``e_step``, returning the log-likelihood used by the stopping rule and trace.
-
-    With a fixed precision the dropped Gaussian normalizer is a constant.
-    When gamma is refit between sweeps the ``sqrt(det Gamma)`` normalizer
-    varies, so it is restored to keep sweeps comparable (making the refit
-    a proper conditional M-step with a monotone objective).
-    """
-    loglik = e_step(graph, pose, gamma)
-    if with_normalizer:
-        loglik += 0.5 * graph.inlier_count * math.log(gamma.det)
-    return loglik
-
-
 def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
     """Align ``scan`` to ``model`` starting from ``pose0``.
 
@@ -297,7 +288,12 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
     the log-likelihood at the pose it evaluated.  Stops when the
     log-likelihood gain of one sweep falls below
     ``config.convergence_epsilon`` or the iteration budget is exhausted.
-    Per-sweep cost is O(E).
+    Per-sweep cost is O(E).  ``oracles.dense_em_register`` runs the same
+    loop over its own dense steps.
+
+    Known limitation: under ``regate_each_iteration`` the stopping rule
+    compares log-likelihoods taken on different graphs, so a change of
+    gate can end a run early with ``converged=True``.
 
     Raises EmptyInput for empty point sets and NoCorrespondences when the
     gate leaves no candidate pairs.  Running out of iterations is reported
@@ -306,47 +302,63 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
     Reentrant: no shared state, so registrations of different targets may
     run concurrently on separate graphs.
     """
-    scan = as_point_array(scan)
-    model = as_point_array(model)
+    # The steps are read from this module at call time, so patching them
+    # here (as a tracer does) reaches every call.
+    return _run_em(as_point_array(scan), as_point_array(model), pose0, config,
+                   build_graph, e_step, m_step, residual_covariance)
+
+
+def _run_em(scan, model, pose0: Pose, config: EmConfig,
+            gate, e_step, m_step, covariance) -> RegistrationResult:
+    """The EM loop, over steps with the signatures of ``build_graph``,
+    ``e_step``, ``m_step`` and ``residual_covariance``.
+
+    ``iterations`` counts M-steps; each is followed by an E-step whose
+    log-likelihood is appended to the trace and compared with the one
+    before it.  With ``reestimate_gamma`` the precision is refit after each
+    M-step and the trace restores the ``sqrt(det Gamma)`` normalizer, which
+    then varies between sweeps, making the refit a proper conditional
+    M-step with a monotone objective.
+    """
     window = config.resolved_window()
-    graph = build_graph(scan, model, pose0, window)
+    graph = gate(scan, model, pose0, window)
     if graph.edge_count == 0:
         raise NoCorrespondences(
             f"no scan point is within {window} m of the model at the initial pose"
         )
 
-    gamma = config.gamma
-    pose = pose0
-    loglik = _scored_e_step(graph, pose, gamma, config.reestimate_gamma)
-    trace = [loglik]
+    pose, gamma = pose0, config.gamma
+    trace: list[float] = []
     converged = False
-    iterations = 0
-    for iteration in range(1, config.max_iterations + 1):
-        if config.regate_each_iteration and iteration > 1:
-            graph = build_graph(scan, model, pose, window)
+    while True:
+        loglik = e_step(graph, pose, gamma)
+        if config.reestimate_gamma:
+            loglik += 0.5 * graph.inlier_count * math.log(gamma.det)
+        trace.append(loglik)
+        sweeps = len(trace) - 1
+        if sweeps and loglik - trace[-2] < config.convergence_epsilon:
+            converged = True
+            break
+        if sweeps == config.max_iterations:
+            break
+        if config.regate_each_iteration and sweeps:
+            graph = gate(scan, model, pose, window)
             if graph.edge_count == 0:
                 raise NoCorrespondences("regating left no candidate pairs")
             e_step(graph, pose, gamma)
         pose = m_step(graph, gamma)
         if config.reestimate_gamma:
             try:
-                gamma = PrecisionMatrix.from_covariance(residual_covariance(graph, pose)[0])
+                gamma = PrecisionMatrix.from_covariance(covariance(graph, pose)[0])
             except ValueError:
                 pass    # singular residuals: keep the previous precision
-        new_loglik = _scored_e_step(graph, pose, gamma, config.reestimate_gamma)
-        trace.append(new_loglik)
-        iterations = iteration
-        if new_loglik - loglik < config.convergence_epsilon:
-            converged = True
-            break
-        loglik = new_loglik
 
     # The last E-step ran at the returned pose, so the covariance matches it.
-    cov, n_p = residual_covariance(graph, pose)
+    cov, n_p = covariance(graph, pose)
     return RegistrationResult(
         pose=pose,
         residual_covariance=cov,
-        iterations=iterations,
+        iterations=sweeps,
         loglik_trace=np.asarray(trace),
         n_inliers=n_p,
         converged=converged,

@@ -65,6 +65,22 @@ def _as_xy(p) -> np.ndarray:
     return arr
 
 
+def _within_radius(d: np.ndarray, radius: float) -> np.ndarray:
+    """``||d|| < radius`` over the last axis of differences ``d``, for any
+    finite radius.  Scales ``d`` in place.
+
+    The differences and the radius are scaled by the power of two that puts
+    the radius in ``[0.5, 1)`` before squaring, so ``radius**2`` neither
+    overflows nor underflows.  The scale is exact: wherever the unscaled
+    squares stay finite and normal, the answer is the unscaled test's.
+    """
+    exponent = math.frexp(radius)[1]
+    r = math.ldexp(radius, -exponent)
+    with np.errstate(over="ignore"):    # far-apart points go to inf and fail
+        np.ldexp(d, -exponent, out=d)
+        return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] < r * r
+
+
 @dataclass(frozen=True)
 class Point:
     """A 2D position in meters.  Coordinates must be finite."""

@@ -12,9 +12,10 @@ Exactness: the cell is wider than the radius by a relative 2**-20 and keys
 are capped at 2**30, so the rounding of ``(p - corner) / cell`` never moves
 a point within the radius two cells away.  Rows are clipped to ``[0, 2**30)``
 and a column out of range keys below or above every point, so packing loses
-no candidate, and candidates pass the strict squared-distance test of an
-exhaustive scan.  The grid returns exactly what that scan returns, or refuses
-the point set at build time.
+no candidate, and candidates pass the strict distance test of an exhaustive
+scan, squared after scaling by a power of two so that any finite radius
+works.  The grid returns exactly what that scan returns, or refuses the
+point set at build time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonPositiveRadius, ScanMatchError
-from .geometry import _as_xy, as_point_array
+from .geometry import _as_xy, _within_radius, as_point_array
 
 __all__ = ["GridIndex"]
 
@@ -43,7 +44,6 @@ class GridIndex:
             raise NonPositiveRadius(f"radius must be > 0, got {radius}")
         self._points = as_point_array(points)
         self._radius = float(radius)
-        self._radius_sq = self._radius * self._radius
         self._cell_size = self._radius * _CELL_WIDENING
         self._origin = self._points.min(axis=0) if len(self._points) else np.zeros(2)
 
@@ -103,11 +103,10 @@ class GridIndex:
         run_start = np.cumsum(counts) - counts
         slots = np.arange(query_idx.size) + np.repeat(lo.ravel() - run_start, counts)
         point_idx = self._order[slots]
-        # Far-apart finite points may overflow to inf here; inf fails the
-        # test, as it does in the exhaustive scan.
+        # Far-apart finite points may differ by inf here, which fails the test.
         with np.errstate(over="ignore"):
             d = np.take(self._points, point_idx, axis=0) - np.repeat(q, per_query, axis=0)
-            keep = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < self._radius_sq
+        keep = _within_radius(d, self._radius)
         return query_idx[keep], point_idx[keep]
 
     def query_radius(self, q) -> np.ndarray:

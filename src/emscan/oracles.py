@@ -3,7 +3,8 @@
 Everything here recomputes the library's answers from first principles:
 exhaustive neighbor scans, a dense all-pairs responsibility matrix, and a
 derivative-free pose fit.  None of it touches the grid index, so agreement
-with the fast path is meaningful evidence.  Expect O(n^2) cost or worse;
+with the fast path is meaningful evidence; ``dense_em_register`` shares only
+the EM loop with ``register``.  Expect O(n^2) cost or worse;
 these ship with the library because the command line exposes them through
 ``--oracle`` for debugging in the field.
 """
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from .em import EmConfig, RegistrationResult
+from .em import EmConfig, RegistrationResult, _run_em
 from .errors import (
     DegenerateGeometry,
     EmptyInput,
@@ -23,7 +24,7 @@ from .errors import (
     NoInliers,
     NonPositiveRadius,
 )
-from .geometry import Point, Pose, PrecisionMatrix, as_point_array, mahalanobis_sq
+from .geometry import Point, Pose, _within_radius, as_point_array, mahalanobis_sq
 from .graph import MatchGraph
 
 __all__ = [
@@ -37,8 +38,8 @@ __all__ = [
 def brute_force_neighbors(points, q, w: float) -> np.ndarray:
     """Exhaustive scan for indices with ``||points[i] - q|| < w``.
 
-    Uses the same squared-distance comparison as the grid index so both
-    sides of the equivalence check round identically.
+    Uses the grid index's distance test so both sides of the equivalence
+    check round identically.
     """
     if not w > 0.0:
         raise NonPositiveRadius(f"radius must be > 0, got {w}")
@@ -46,51 +47,48 @@ def brute_force_neighbors(points, q, w: float) -> np.ndarray:
     qa = np.asarray(tuple(q) if isinstance(q, Point) else q, dtype=float)
     if pts.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    d = pts - qa
-    return np.nonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < w * w)[0].astype(np.int64)
+    return np.nonzero(_within_radius(pts - qa, w))[0].astype(np.int64)
 
 
-class _DenseGate:
+def _dense_gate(scan, model, pose, w) -> MatchGraph:
     """All-pairs window gate with uniform per-row priors."""
-
-    def __init__(self, scan, model, pose, w):
-        proj = pose.apply(model)
-        diff = scan[:, None, :] - proj[None, :, :]
-        dsq = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
-        self.adjacency = dsq < w * w
-        self.degrees = self.adjacency.sum(axis=1)
-        self.nonempty = self.degrees > 0
-        self.log_prior = np.where(
-            self.adjacency, -np.log(np.maximum(self.degrees, 1))[:, None], -np.inf
-        )
-        self.prior = np.where(
-            self.adjacency, 1.0 / np.maximum(self.degrees, 1)[:, None], 0.0
-        )
-
-    def exponents(self, scan, model, pose, gamma):
-        diff = scan[:, None, :] - pose.apply(model)[None, :, :]
-        msq = mahalanobis_sq(diff, gamma)
-        return np.where(self.adjacency, self.log_prior - 0.5 * msq, -np.inf)
-
-    def responsibilities(self, scan, model, pose, gamma):
-        expo = self.exponents(scan, model, pose, gamma)
-        row_max = np.where(self.nonempty, expo.max(axis=1), 0.0)
-        shifted = np.where(self.adjacency, np.exp(expo - row_max[:, None]), 0.0)
-        denom = shifted.sum(axis=1)
-        out = np.zeros_like(shifted)
-        out[self.nonempty] = shifted[self.nonempty] / denom[self.nonempty, None]
-        return out
-
-    def loglik(self, scan, model, pose, gamma):
-        expo = self.exponents(scan, model, pose, gamma)
-        total = 0.0
-        for j in np.nonzero(self.nonempty)[0]:
-            row_max = expo[j].max()
-            total += row_max + math.log(np.exp(expo[j] - row_max).sum())
-        return total
+    if scan.shape[0] == 0:
+        raise EmptyInput("empty scan")
+    if model.shape[0] == 0:
+        raise EmptyInput("empty model")
+    adjacency = _within_radius(scan[:, None, :] - pose.apply(model)[None, :, :], w)
+    return MatchGraph.from_edges(scan, model, w, *np.nonzero(adjacency))
 
 
-def _dense_fit(scan, model, weights, gamma):
+def _dense(graph, values, fill) -> np.ndarray:
+    """The (n, m) matrix holding ``values`` at the edges and ``fill`` elsewhere."""
+    out = np.full((graph.n_scan, graph.n_model), fill)
+    out[graph.scan_idx, graph.model_idx] = values
+    return out
+
+
+def _dense_e_step(graph, pose, gamma) -> float:
+    """Dense responsibilities into ``graph.posterior``; returns the
+    log-likelihood, summed row by row."""
+    adjacency = _dense(graph, True, False)
+    degrees = adjacency.sum(axis=1)
+    nonempty = degrees > 0
+    log_prior = -np.log(np.maximum(degrees, 1))[:, None]
+    diff = graph.scan[:, None, :] - pose.apply(graph.model)[None, :, :]
+    expo = np.where(adjacency, log_prior - 0.5 * mahalanobis_sq(diff, gamma), -np.inf)
+    row_max = np.where(nonempty, expo.max(axis=1), 0.0)
+    shifted = np.where(adjacency, np.exp(expo - row_max[:, None]), 0.0)
+    graph.posterior[:] = shifted[adjacency] / shifted.sum(axis=1)[graph.scan_idx]
+    total = 0.0
+    for j in np.nonzero(nonempty)[0]:
+        row_max = expo[j].max()
+        total += row_max + math.log(np.exp(expo[j] - row_max).sum())
+    return total
+
+
+def _dense_fit(graph, gamma):
+    scan, model = graph.scan, graph.model
+    weights = _dense(graph, graph.posterior, 0.0)
     total = float(weights.sum())
     if not np.any(weights > 0.0):
         raise NoCorrespondences("all responsibilities are zero")
@@ -115,88 +113,34 @@ def _dense_fit(scan, model, weights, gamma):
     return pose
 
 
-def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
-    """All-pairs registration: same math as ``register``, O(n*m) gating.
-
-    The window gate is applied to the full distance matrix and the
-    responsibility matrix is kept dense.  The contract matches ``register``
-    exactly, including error behavior and the meaning of the trace,
-    covariance, and optional modes.
-    """
-    scan = as_point_array(scan)
-    model = as_point_array(model)
-    if scan.shape[0] == 0:
-        raise EmptyInput("empty scan")
-    if model.shape[0] == 0:
-        raise EmptyInput("empty model")
-    w = config.resolved_window()
-    gamma = config.gamma
-
-    gate = _DenseGate(scan, model, pose0, w)
-    if not gate.adjacency.any():
-        raise NoCorrespondences(
-            f"no scan point is within {w} m of the model at the initial pose"
-        )
-
-    def metric(gate_now, pose_now, gamma_now):
-        # Mirror of the fast path's stopping metric: the det normalizer is
-        # restored only when gamma varies between sweeps.
-        value = gate_now.loglik(scan, model, pose_now, gamma_now)
-        if config.reestimate_gamma:
-            value += 0.5 * int(np.count_nonzero(gate_now.nonempty)) * math.log(gamma_now.det)
-        return value
-
-    pose = pose0
-    value = metric(gate, pose, gamma)
-    trace = [value]
-    converged = False
-    iterations = 0
-    for iteration in range(1, config.max_iterations + 1):
-        if config.regate_each_iteration and iteration > 1:
-            gate = _DenseGate(scan, model, pose, w)
-            if not gate.adjacency.any():
-                raise NoCorrespondences("regating left no candidate pairs")
-        weights = gate.responsibilities(scan, model, pose, gamma)
-        pose = _dense_fit(scan, model, weights, gamma)
-        if config.reestimate_gamma:
-            try:
-                gamma = PrecisionMatrix.from_covariance(
-                    _dense_covariance(scan, model, weights, pose, gate)[0])
-            except ValueError:
-                pass    # singular residuals: keep the previous precision
-        new_value = metric(gate, pose, gamma)
-        trace.append(new_value)
-        iterations = iteration
-        if new_value - value < config.convergence_epsilon:
-            converged = True
-            break
-        value = new_value
-
-    weights = gate.responsibilities(scan, model, pose, gamma)
-    cov, n_p = _dense_covariance(scan, model, weights, pose, gate)
-    graph = MatchGraph.from_edges(scan, model, w, *np.nonzero(gate.adjacency))
-    graph.prior[:] = gate.prior[gate.adjacency]
-    graph.posterior[:] = weights[gate.adjacency]
-    return RegistrationResult(
-        pose=pose,
-        residual_covariance=cov,
-        iterations=iterations,
-        loglik_trace=np.asarray(trace),
-        n_inliers=n_p,
-        converged=converged,
-        graph=graph,
-    )
-
-
-def _dense_covariance(scan, model, weights, pose, gate):
-    n_p = int(np.count_nonzero(gate.nonempty))
+def _dense_covariance(graph, pose):
+    n_p = graph.inlier_count
     if n_p == 0:
         raise NoInliers("every scan point is an outlier")
-    diff = scan[:, None, :] - pose.apply(model)[None, :, :]
+    weights = _dense(graph, graph.posterior, 0.0)
+    diff = graph.scan[:, None, :] - pose.apply(graph.model)[None, :, :]
     rxx = float((weights * diff[..., 0] * diff[..., 0]).sum())
     rxy = float((weights * diff[..., 0] * diff[..., 1]).sum())
     ryy = float((weights * diff[..., 1] * diff[..., 1]).sum())
     return np.array([[rxx, rxy], [rxy, ryy]]) / n_p, n_p
+
+
+def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
+    """All-pairs registration: same math as ``register``, O(n*m) gating.
+
+    The window gate is applied to the full distance matrix, and the
+    responsibilities, log-likelihood, fit and covariance are computed on
+    dense (n, m) matrices.  Both paths run one EM loop, which owns
+    regating, the gamma refit, the trace and the stopping rule, so the
+    contract matches ``register`` exactly, including error behavior and the
+    meaning of the optional modes.
+
+    Known limitation, shared with ``register``: under
+    ``regate_each_iteration`` the stopping rule compares log-likelihoods
+    taken on different graphs, which can end a run early.
+    """
+    return _run_em(as_point_array(scan), as_point_array(model), pose0, config,
+                   _dense_gate, _dense_e_step, _dense_fit, _dense_covariance)
 
 
 def slow_residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]:

@@ -1,4 +1,5 @@
 import io
+import math
 import warnings
 
 import numpy as np
@@ -61,6 +62,19 @@ class TestBuildGraph:
             warnings.simplefilter("error")
             g = build_graph([[0.0, 0.0], [2e300, 0.0]], [[0.0, 0.0]], identity, 1.5e300)
         assert set(zip(g.scan_idx.tolist(), g.model_idx.tolist())) == {(0, 0)}
+
+    def test_radius_whose_square_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = build_graph([[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0]], identity, 1.5e200)
+        assert g.edge_set() == {(0, 0), (1, 0)}
+
+    def test_radius_whose_square_underflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = build_graph([[0.0, 0.0], [5e-201, 0.0], [2e-200, 0.0]], [[0.0, 0.0]],
+                            identity, 1e-200)
+        assert g.edge_set() == {(0, 0), (1, 0)}
 
     def test_csr_layout(self, rng):
         scan = random_cloud(rng, 80)
@@ -134,8 +148,12 @@ def test_gate_is_all_pairs_csr_for_any_finite_input(case):
         proj = pose.apply(model)
         if not (np.isfinite(scan).all() and np.isfinite(proj).all()):
             return      # a cloud or the projected model overflowed; not a finite input
-        d = proj[None, :, :] - scan[:, None, :]
-        inside = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] < w * w
+        # Scaled by a power of two, which is exact, so w * w cannot overflow
+        # or underflow; elsewhere this is the unscaled squared test.
+        exponent = math.frexp(w)[1]
+        d = np.ldexp(proj[None, :, :] - scan[:, None, :], -exponent)
+        r = math.ldexp(w, -exponent)
+        inside = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] < r * r
         try:
             g = build_graph(scan, model, pose, w)
         except ScanMatchError:
@@ -147,6 +165,33 @@ def test_gate_is_all_pairs_csr_for_any_finite_input(case):
     assert g.row_start[0] == 0
     np.testing.assert_array_equal(np.diff(g.row_start), inside.sum(axis=1))
     np.testing.assert_array_equal(g.prior, 1.0 / np.diff(g.row_start)[g.scan_idx])
+
+
+@st.composite
+def _lattice_gate_case(draw):
+    """Scan, model and gate translation on a 2**-10 m lattice within 4 m, and
+    a lattice radius up to 4 m: scaled by ``2**k`` for ``|k| <= 1000``, every
+    coordinate and difference stays finite and normal."""
+    lattice = st.integers(-2**12, 2**12)
+
+    def points(n):
+        return np.array(draw(st.lists(st.tuples(lattice, lattice), min_size=n, max_size=n)),
+                        dtype=float).reshape(n, 2) * 2.0**-10
+
+    scan = points(draw(st.integers(1, 10)))
+    model = points(draw(st.integers(1, 10)))
+    tx, ty = points(1)[0]
+    w = draw(st.integers(1, 2**12)) * 2.0**-10
+    return scan, model, Pose(tx, ty, 0.0), w
+
+
+@settings(deadline=None, max_examples=200)
+@given(_lattice_gate_case(), st.integers(-1000, 1000))
+def test_gate_edges_are_invariant_under_power_of_two_scaling(case, k):
+    scan, model, pose, w = case
+    s = 2.0**k
+    scaled = build_graph(scan * s, model * s, Pose(pose.tx * s, pose.ty * s, 0.0), w * s)
+    assert scaled.edge_set() == build_graph(scan, model, pose, w).edge_set()
 
 
 class TestOutlierCount:

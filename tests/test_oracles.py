@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ class TestBruteForceNeighbors:
 
     def test_strict_boundary(self):
         assert brute_force_neighbors([(1.0, 0.0)], (0.0, 0.0), 1.0).size == 0
+
+    def test_radius_whose_square_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = brute_force_neighbors([(0.0, 0.0), (1e200, 0.0)], (0.0, 0.0), 1.5e200)
+        np.testing.assert_array_equal(out, [0, 1])
+
+    def test_radius_whose_square_underflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = brute_force_neighbors([(0.0, 0.0), (5e-201, 0.0), (2e-200, 0.0)],
+                                        (0.0, 0.0), 1e-200)
+        np.testing.assert_array_equal(out, [0, 1])
 
     def test_rejects_bad_radius(self):
         with pytest.raises(NonPositiveRadius):
@@ -117,3 +131,36 @@ class TestDenseEmRegister:
         cfg = EmConfig.isotropic(0.1)
         with pytest.raises(EmptyInput):
             dense_em_register([], [(0.0, 0.0)], identity, cfg)
+
+
+_ANISOTROPIC = PrecisionMatrix(2500.0, 375.0, 625.0)
+
+
+def _parity_scene(seed: int, anisotropic: bool):
+    rng = np.random.default_rng([5, seed])
+    truth = Pose(*rng.uniform(-0.1, 0.1, 2), rng.uniform(-0.06, 0.06))
+    model, scan, _ = make_scene(("rectangle", "l-shape", "circle")[seed % 3], 60, truth,
+                                noise_sigma=0.0 if anisotropic else 0.02,
+                                outlier_fraction=0.05, seed=seed)
+    if anisotropic:
+        noise_cov = np.linalg.inv(_ANISOTROPIC.as_matrix())
+        scan = scan + rng.multivariate_normal([0.0, 0.0], noise_cov, scan.shape[0])
+    return scan, model
+
+
+@pytest.mark.parametrize("anisotropic", [False, True], ids=["isotropic", "anisotropic"])
+@pytest.mark.parametrize("refit", [False, True], ids=["fixed", "refit"])
+@pytest.mark.parametrize("regate", [False, True], ids=["gated-once", "regate"])
+def test_dense_matches_fast_path_in_every_mode(regate, refit, anisotropic):
+    for seed in range(3):
+        scan, model = _parity_scene(seed, anisotropic)
+        options = dict(regate_each_iteration=regate, reestimate_gamma=refit)
+        cfg = (EmConfig(gamma=_ANISOTROPIC, window_w=0.3, **options) if anisotropic
+               else EmConfig.isotropic(0.02, window_w=0.4, **options))
+        fast = register(scan, model, identity, cfg)
+        slow = dense_em_register(scan, model, identity, cfg)
+        assert fast.iterations == slow.iterations
+        assert fast.converged == slow.converged
+        assert fast.n_inliers == slow.n_inliers
+        assert_pose_close(fast.pose, slow.pose, atol=1e-8)
+        np.testing.assert_allclose(fast.loglik_trace, slow.loglik_trace, rtol=1e-7, atol=1e-7)
