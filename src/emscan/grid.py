@@ -10,7 +10,11 @@ for a whole batch of queries at once.
 
 Exactness: the cell is wider than the radius by a relative 2**-20 and keys
 are capped at 2**30, so the rounding of ``(p - corner) / cell`` never moves
-a point within the radius two cells away.  Rows are clipped to ``[0, 2**30)``
+a point within the radius two cells away.  For a radius of 0.5 or more, the
+coordinates, the corner and the cell are first scaled by the power of two
+that puts the radius in ``[0.5, 1)``; the scale is exact, and ``p - corner``
+then cannot overflow, so a query far from the corner but near a point still
+finds it.  Rows are clipped to ``[0, 2**30)``
 and a column out of range keys below or above every point, so packing loses
 no candidate, and candidates pass the strict distance test of an exhaustive
 scan, squared after scaling by a power of two so that any finite radius
@@ -19,6 +23,8 @@ point set at build time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,10 +51,14 @@ class GridIndex:
         self._points = as_point_array(points)
         self._radius = float(radius)
         self._cell_size = self._radius * _CELL_WIDENING
-        self._origin = self._points.min(axis=0) if len(self._points) else np.zeros(2)
+        # Keys are computed in units scaled by 2**-shift; see the module notes.
+        self._shift = max(math.frexp(self._radius)[1], 0)
+        self._scaled_cell = math.ldexp(self._radius, -self._shift) * _CELL_WIDENING
+        origin = self._points.min(axis=0) if len(self._points) else np.zeros(2)
+        self._scaled_origin = np.ldexp(origin, -self._shift)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.floor((self._points - self._origin) / self._cell_size)
+            cells = np.floor(self._scaled_offset(self._points))
         if not (cells < _MAX_KEY).all():     # also false for inf and nan
             raise ScanMatchError(
                 f"point set spans more than {_MAX_KEY} cells of {self._radius} m")
@@ -56,6 +66,10 @@ class GridIndex:
         keys = cells[:, 0] * _MAX_KEY + cells[:, 1]
         self._order = np.argsort(keys, kind="stable")
         self._keys = keys[self._order]
+
+    def _scaled_offset(self, p: np.ndarray) -> np.ndarray:
+        """``(p - corner) / cell``, computed on the scaled coordinates."""
+        return (np.ldexp(p, -self._shift) - self._scaled_origin) / self._scaled_cell
 
     def __len__(self) -> int:
         return len(self._points)
@@ -86,7 +100,7 @@ class GridIndex:
         if q.ndim != 2 or q.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) query array, got shape {q.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            k = (q - self._origin) / self._cell_size
+            k = self._scaled_offset(q)
         # Out-of-range queries are moved to cell (-2, -2), whose block is empty.
         inside = (np.abs(k) <= _MAX_KEY + 1).all(axis=1)     # false for inf and nan
         cells = np.floor(np.where(inside[:, None], k, -2.0)).astype(np.int64)
