@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--degrees", action="store_true",
                      default=_env("--degrees", _env_bool, False),
                      help="interpret the pose angle in degrees")
-    syn.add_argument("--out", required=True, metavar="PREFIX",
+    out = _env("--out", str, None)
+    syn.add_argument("--out", default=out, required=out is None, metavar="PREFIX",
                      help="output path prefix")
     syn.set_defaults(func=cmd_synth)
 
@@ -251,8 +252,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if sorted(args.sizes) != args.sizes:
-        raise ValueError(f"sizes must be ascending, got {args.sizes}")
     rows, slope = run_scaling(
         args.sizes, repeats=args.repeats, seed=args.seed,
         density=args.density, window=args.w,

@@ -1,8 +1,8 @@
 """Expectation-maximization registration of a scan to a model point set.
 
-One registration call gates candidate correspondences once at the initial
-pose, then alternates two steps until the marginal log-likelihood stops
-improving:
+One registration call gates candidate correspondences at the initial pose
+(and at every later pose when regating), then alternates two steps until
+the marginal log-likelihood stops improving:
 
 * E-step: per-edge responsibilities, the posterior probability that a scan
   point measures a given gated model point under the current pose.
@@ -31,7 +31,7 @@ from .errors import (
     NoInliers,
 )
 from .geometry import Pose, PrecisionMatrix, as_point_array, mahalanobis_sq
-from .graph import MatchGraph, _row_max, _row_sum, build_graph
+from .graph import MatchGraph, build_graph
 
 __all__ = [
     "EmConfig",
@@ -68,12 +68,15 @@ class EmConfig:
     ``reestimate_gamma`` refits the precision from the residual covariance
     between sweeps.  Both are off by default, and the log-likelihood trace
     is guaranteed non-decreasing only with both off.  ``register`` and
-    ``oracles.dense_em_register`` read these settings in one shared loop.
+    ``oracles.dense_em_register`` read these settings in one shared loop,
+    whose sweep is: gate (at ``pose0``, then every sweep when regating),
+    E-step, stopping test, M-step, gamma refit.
 
-    Known limitation: with ``regate_each_iteration`` the stopping rule
-    compares the log-likelihood on the graph rebuilt this sweep with the
-    previous one on the previous graph, so a change of gate can end a run
-    early with ``converged=True`` and a pose short of the optimum.
+    Known limitation: with ``regate_each_iteration`` each trace entry is
+    the log-likelihood at a pose on the gate built at that pose, so
+    consecutive entries come from different gates.  The trace need not be
+    monotone, and a change of gate can still end a run early with
+    ``converged=True`` and a pose short of the optimum.
     """
 
     gamma: PrecisionMatrix
@@ -114,7 +117,8 @@ class RegistrationResult:
     one entry per sweep; in the default configuration it is non-decreasing
     up to float noise.  ``converged=False`` is a valid outcome, not an
     error: it means the iteration budget ran out first.  ``graph`` is the
-    match graph the final E-step ran on; its posterior is at ``pose``.
+    match graph the final E-step ran on; its posterior is at ``pose``, and
+    under regating it is the gate built at ``pose``.
     """
 
     pose: Pose
@@ -149,27 +153,29 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     """
     if graph.edge_count == 0:
         return 0.0
+    counts = graph.neighbor_counts
+    nonempty = counts > 0
+    starts, counts = graph.row_start[:-1][nonempty], counts[nonempty]
     expo = _edge_exponents(graph, pose, gamma)
-    row_max = _row_max(expo, graph.row_start)
-    shifted = np.exp(expo - row_max[graph.scan_idx])
-    denom = _row_sum(shifted, graph.row_start)
-    nonempty = graph.neighbor_counts > 0
-    loglik = float(np.sum(row_max[nonempty] + np.log(denom[nonempty])))
+    row_max = np.maximum.reduceat(expo, starts)
+    shifted = np.exp(expo - np.repeat(row_max, counts))
+    denom = np.add.reduceat(shifted, starts)
+    loglik = float(np.sum(row_max + np.log(denom)))
 
-    deep = nonempty & (row_max < _DEEP_TAIL_LOG)
+    deep = row_max < _DEEP_TAIL_LOG
     if deep.any():
         logger.debug(
             "%d scan rows have best log-density below %.0f; responsibilities "
             "still normalized via max-shift", int(deep.sum()), _DEEP_TAIL_LOG,
         )
 
-    posterior = shifted / denom[graph.scan_idx]
+    posterior = shifted / np.repeat(denom, counts)
     if not np.isfinite(posterior).all():
         # Max-shift keeps each nonempty row's denominator >= 1, so this is
         # only reachable through corrupt graph state.  Keep priors for the
         # broken rows; give up if even those are unusable.
         bad_rows = ~np.isfinite(denom) | (denom <= 0.0)
-        bad_edges = bad_rows[graph.scan_idx]
+        bad_edges = np.repeat(bad_rows, counts)
         logger.warning("responsibility normalization failed for %d rows; keeping priors",
                        int(bad_rows.sum()))
         posterior[bad_edges] = graph.prior[bad_edges]
@@ -283,17 +289,17 @@ def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]
 def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
     """Align ``scan`` to ``model`` starting from ``pose0``.
 
-    Gates once at ``pose0`` (unless regating is enabled), then runs the
-    E-step at ``pose0`` and sweeps M-step / E-step; each E-step also yields
-    the log-likelihood at the pose it evaluated.  Stops when the
-    log-likelihood gain of one sweep falls below
+    Gates at ``pose0``, then sweeps: E-step at the current pose (which
+    also yields the log-likelihood there), stopping test, M-step.  With
+    regating, each sweep first rebuilds the gate at the current pose.
+    Stops when the log-likelihood gain of one sweep falls below
     ``config.convergence_epsilon`` or the iteration budget is exhausted.
     Per-sweep cost is O(E).  ``oracles.dense_em_register`` runs the same
     loop over its own dense steps.
 
-    Known limitation: under ``regate_each_iteration`` the stopping rule
-    compares log-likelihoods taken on different graphs, so a change of
-    gate can end a run early with ``converged=True``.
+    Known limitation: under ``regate_each_iteration`` consecutive trace
+    entries come from different gates, so the trace is not monotone and a
+    change of gate can still end a run early with ``converged=True``.
 
     Raises EmptyInput for empty point sets and NoCorrespondences when the
     gate leaves no candidate pairs.  Running out of iterations is reported
@@ -313,24 +319,27 @@ def _run_em(scan, model, pose0: Pose, config: EmConfig,
     """The EM loop, over steps with the signatures of ``build_graph``,
     ``e_step``, ``m_step`` and ``residual_covariance``.
 
-    ``iterations`` counts M-steps; each is followed by an E-step whose
-    log-likelihood is appended to the trace and compared with the one
-    before it.  With ``reestimate_gamma`` the precision is refit after each
-    M-step and the trace restores the ``sqrt(det Gamma)`` normalizer, which
-    then varies between sweeps, making the refit a proper conditional
-    M-step with a monotone objective.
+    Each sweep gates (at ``pose0`` first, then at every pose when
+    regating), runs one E-step, whose log-likelihood is appended to the
+    trace and compared with the one before it, and, unless that stops the
+    run, one M-step followed by the optional gamma refit.  ``iterations``
+    counts M-steps.  With ``reestimate_gamma`` the trace restores the
+    ``sqrt(det Gamma)`` normalizer, which then varies between sweeps,
+    making the refit a proper conditional M-step with a monotone objective.
+    Under regating, consecutive trace entries come from different gates.
     """
     window = config.resolved_window()
-    graph = gate(scan, model, pose0, window)
-    if graph.edge_count == 0:
-        raise NoCorrespondences(
-            f"no scan point is within {window} m of the model at the initial pose"
-        )
-
     pose, gamma = pose0, config.gamma
+    graph = None
     trace: list[float] = []
     converged = False
     while True:
+        if graph is None or config.regate_each_iteration:
+            graph = gate(scan, model, pose, window)
+            if graph.edge_count == 0:
+                raise NoCorrespondences(
+                    f"no scan point is within {window} m of the model at {pose}"
+                )
         loglik = e_step(graph, pose, gamma)
         if config.reestimate_gamma:
             loglik += 0.5 * graph.inlier_count * math.log(gamma.det)
@@ -341,11 +350,6 @@ def _run_em(scan, model, pose0: Pose, config: EmConfig,
             break
         if sweeps == config.max_iterations:
             break
-        if config.regate_each_iteration and sweeps:
-            graph = gate(scan, model, pose, window)
-            if graph.edge_count == 0:
-                raise NoCorrespondences("regating left no candidate pairs")
-            e_step(graph, pose, gamma)
         pose = m_step(graph, gamma)
         if config.reestimate_gamma:
             try:

@@ -35,7 +35,6 @@ class MatchGraph:
 
     scan: np.ndarray        # (n, 2) scan points
     model: np.ndarray       # (m, 2) model points, untransformed
-    window: float           # gate radius W in meters
     scan_idx: np.ndarray    # (E,) int64, non-decreasing
     model_idx: np.ndarray   # (E,) int64, ascending within each row
     scan_e: np.ndarray      # (E, 2) scan[scan_idx]
@@ -67,12 +66,11 @@ class MatchGraph:
         return int(np.count_nonzero(self.neighbor_counts))
 
     @classmethod
-    def from_edges(cls, scan, model, window, scan_idx, model_idx) -> "MatchGraph":
+    def from_edges(cls, scan, model, scan_idx, model_idx) -> "MatchGraph":
         """Graph over edges sorted by (scan_idx, model_idx), with uniform priors per row."""
         counts = np.bincount(scan_idx, minlength=scan.shape[0])
         prior = np.repeat(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0), counts)
-        return cls(scan=scan, model=model, window=float(window),
-                   scan_idx=scan_idx, model_idx=model_idx,
+        return cls(scan=scan, model=model, scan_idx=scan_idx, model_idx=model_idx,
                    scan_e=scan[scan_idx], model_e=model[model_idx],
                    prior=prior, posterior=prior.copy(),
                    row_start=np.concatenate(([0], np.cumsum(counts))))
@@ -103,7 +101,7 @@ def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:
 
     scan_idx, model_idx = GridIndex(pose0.apply(model), w).query_pairs(scan)
     order = np.argsort(scan_idx * model.shape[0] + model_idx)    # by (scan, model)
-    return MatchGraph.from_edges(scan, model, w, scan_idx[order], model_idx[order])
+    return MatchGraph.from_edges(scan, model, scan_idx[order], model_idx[order])
 
 
 def outlier_count(graph: MatchGraph) -> int:
@@ -126,21 +124,3 @@ def dump_graph(graph: MatchGraph, destination) -> None:
     else:
         with open(destination, "w", encoding="utf-8") as fh:
             _write(fh)
-
-
-def _row_reduce(values: np.ndarray, row_start: np.ndarray, ufunc, empty: float) -> np.ndarray:
-    """Per-row ``ufunc`` reduction over CSR segments; ``empty`` fills empty rows."""
-    counts = np.diff(row_start)
-    out = np.full(counts.shape[0], empty)
-    nonempty = counts > 0
-    if nonempty.any():
-        out[nonempty] = ufunc.reduceat(values, row_start[:-1][nonempty])
-    return out
-
-
-def _row_sum(values: np.ndarray, row_start: np.ndarray) -> np.ndarray:
-    return _row_reduce(values, row_start, np.add, 0.0)
-
-
-def _row_max(values: np.ndarray, row_start: np.ndarray) -> np.ndarray:
-    return _row_reduce(values, row_start, np.maximum, -np.inf)

@@ -57,7 +57,7 @@ def _dense_gate(scan, model, pose, w) -> MatchGraph:
     if model.shape[0] == 0:
         raise EmptyInput("empty model")
     adjacency = _within_radius(scan[:, None, :] - pose.apply(model)[None, :, :], w)
-    return MatchGraph.from_edges(scan, model, w, *np.nonzero(adjacency))
+    return MatchGraph.from_edges(scan, model, *np.nonzero(adjacency))
 
 
 def _dense(graph, values, fill) -> np.ndarray:
@@ -135,9 +135,11 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
     contract matches ``register`` exactly, including error behavior and the
     meaning of the optional modes.
 
-    Known limitation, shared with ``register``: under
-    ``regate_each_iteration`` the stopping rule compares log-likelihoods
-    taken on different graphs, which can end a run early.
+    Each sweep gates (at ``pose0``, then at every pose when regating),
+    runs one E-step, the stopping test and one M-step.  Known limitation,
+    shared with ``register``: under ``regate_each_iteration`` consecutive
+    trace entries come from different gates, so the trace is not monotone
+    and a change of gate can still end a run early.
     """
     return _run_em(as_point_array(scan), as_point_array(model), pose0, config,
                    _dense_gate, _dense_e_step, _dense_fit, _dense_covariance)

@@ -235,6 +235,18 @@ class TestSynthCommand:
         truth = json.loads((tmp_path / "deg_truth.json").read_text())
         assert truth["pose"]["theta"] == pytest.approx(math.pi / 2)
 
+    def test_out_read_from_env(self, tmp_path):
+        proc = run_cli("synth", "--n", "20",
+                       env_extra={"EMSCAN_OUT": str(tmp_path / "env")})
+        assert proc.returncode == 0, proc.stderr
+        assert load_points(tmp_path / "env_scan.txt").shape == (20, 2)
+
+    def test_missing_out_exits_one(self, monkeypatch, capsys):
+        from emscan.cli import main
+        monkeypatch.delenv("EMSCAN_OUT", raising=False)
+        assert main(["synth", "--n", "20"]) == 1
+        assert "--out" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_single_size_no_slope(self):

@@ -315,6 +315,43 @@ def test_default_mode_trace_is_monotone(shape, n, pert, sigma, anisotropic, gamm
     assert (np.diff(res.loglik_trace) >= -1e-9).all()
 
 
+@pytest.mark.parametrize("seed", [229, 288, 336, 370])
+def test_regating_does_not_stop_at_a_gate_change(seed):
+    # Scenes where scoring each pose on the previous sweep's gate ended the
+    # run after 2 sweeps with converged=True, 33-68 mm off the truth.
+    gamma = PrecisionMatrix(2500.0, 375.0, 625.0)
+    rng = np.random.default_rng(seed)
+    r, a = 0.15 * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi)
+    truth = Pose(r * math.cos(a), r * math.sin(a), math.radians(rng.uniform(-4.0, 4.0)))
+    model, scan, _ = make_scene("l-shape", 120, truth, outlier_fraction=0.05, seed=seed)
+    scan = scan + rng.multivariate_normal(np.zeros(2), np.linalg.inv(gamma.as_matrix()), 120)
+    res = register(scan, model, identity,
+                   EmConfig(gamma=gamma, window_w=0.3, regate_each_iteration=True))
+    assert math.hypot(res.pose.tx - truth.tx, res.pose.ty - truth.ty) < 0.02
+    assert abs(wrap_angle(res.pose.theta - truth.theta)) < math.radians(1.0)
+    assert res.iterations > 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(shape=st.sampled_from(SHAPES), regate=st.booleans(),
+       motion=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+                        st.floats(-math.pi, math.pi)),
+       seed=st.integers(0, 2**16))
+def test_registration_is_rigidly_equivariant(shape, regate, motion, seed):
+    # Moving the scan and the start by T moves the answer by T: the gate,
+    # the isotropic residual norms and the closed-form fit are all invariant.
+    rng = np.random.default_rng(seed)
+    model, scan, _ = make_scene(shape, 40, random_pose(rng, 0.2, 0.1),
+                                noise_sigma=0.02, seed=seed)
+    pose0 = random_pose(rng, 0.05, 0.05)
+    cfg = EmConfig.isotropic(0.05, window_w=0.4, regate_each_iteration=regate)
+    t = Pose(*motion)
+    base = register(scan, model, pose0, cfg)
+    moved = register(t.apply(scan), model, t.compose(pose0), cfg)
+    assert_pose_close(moved.pose, t.compose(base.pose), 1e-9)
+    assert moved.iterations == base.iterations
+
+
 class TestResidualCovariance:
     def test_perfect_alignment_gives_zero(self):
         pose = Pose(0.4, -0.1, 0.7)
