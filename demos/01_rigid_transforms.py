@@ -10,13 +10,7 @@ import math
 
 import numpy as np
 
-from emscan import (
-    Point,
-    Pose,
-    PrecisionMatrix,
-    edge_density,
-    mahalanobis_sq,
-)
+from emscan import Point, Pose, PrecisionMatrix, mahalanobis_sq
 
 print("== rigid transforms ==")
 g = Pose(1.0, 2.0, math.pi / 2)
@@ -44,7 +38,7 @@ gamma = PrecisionMatrix.isotropic(0.1)   # 10 cm noise std -> Gamma = I / 0.01
 print(f"precision matrix:\n{gamma.as_matrix()}")
 for residual in [(0.0, 0.0), (0.1, 0.0), (0.3, 0.0)]:
     msq = mahalanobis_sq(residual, gamma)
-    dens = edge_density(residual, (0.0, 0.0), Pose.identity(), gamma)
+    dens = math.exp(-0.5 * msq)
     print(f"residual {residual}: ||r||^2_Gamma = {msq:6.2f}, kernel = {dens:.4f}")
 print("the kernel is 1 at zero residual and decays with the weighted distance;")
 print("its flat normalization constant is dropped since responsibilities divide it out")

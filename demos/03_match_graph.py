@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from emscan import Pose, build_graph, dump_graph, make_scene, outlier_count
+from emscan import Pose, build_graph, dump_graph, make_scene
 
 truth = Pose(0.15, -0.1, math.radians(3.0))
 model, scan, info = make_scene("l-shape", 60, truth, noise_sigma=0.02,
@@ -23,7 +23,7 @@ print(f"scene: {info['shape']}, {info['n_points']} points, "
 graph = build_graph(scan, model, Pose.identity(), w=0.5)
 counts = graph.neighbor_counts
 print(f"edges: {graph.edge_count}, inlier scan points: {graph.inlier_count}, "
-      f"outliers: {outlier_count(graph)}")
+      f"outliers: {graph.n_scan - graph.inlier_count}")
 print(f"candidates per scan point: min {counts.min()}, "
       f"mean {counts.mean():.1f}, max {counts.max()}")
 

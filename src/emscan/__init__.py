@@ -7,7 +7,7 @@ residual covariance, and convergence diagnostics.  Per-call cost is linear
 in the scan size for bounded-density scenes.
 """
 
-from .bench import BenchRow, run_scaling, scaling_scene
+from .bench import run_scaling
 from .em import (
     EmConfig,
     RegistrationResult,
@@ -30,25 +30,18 @@ from .geometry import (
     Pose,
     PrecisionMatrix,
     as_point_array,
-    edge_density,
     mahalanobis_sq,
     wrap_angle,
 )
-from .graph import MatchGraph, build_graph, dump_graph, outlier_count
+from .graph import MatchGraph, build_graph, dump_graph
 from .grid import GridIndex
-from .oracles import (
-    brute_force_neighbors,
-    dense_em_register,
-    numerical_m_step,
-    slow_residual_covariance,
-)
+from .oracles import brute_force_neighbors, dense_em_register
 from .scanio import load_points, save_points
 from .synth import SHAPES, make_scene, sample_contour
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow",
     "DegenerateGeometry",
     "DegenerateRow",
     "EmConfig",
@@ -70,19 +63,14 @@ __all__ = [
     "dense_em_register",
     "dump_graph",
     "e_step",
-    "edge_density",
     "load_points",
     "m_step",
     "mahalanobis_sq",
     "make_scene",
-    "numerical_m_step",
-    "outlier_count",
     "register",
     "residual_covariance",
     "run_scaling",
     "sample_contour",
     "save_points",
-    "scaling_scene",
-    "slow_residual_covariance",
     "wrap_angle",
 ]

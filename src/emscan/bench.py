@@ -8,6 +8,7 @@ sweep count to separate the per-sweep cost from iteration-count variance.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from .em import EmConfig, register
 from .geometry import Pose, PrecisionMatrix
 
-__all__ = ["BenchRow", "run_scaling", "scaling_scene"]
+__all__ = ["run_scaling"]
 
 DEFAULT_DENSITY = 25.0     # points per square meter
 DEFAULT_WINDOW = 0.5       # gate radius, meters
@@ -53,11 +54,17 @@ def run_scaling(sizes, repeats: int = 3, seed: int = 0,
 
     The slope is fit by least squares on log(mean ms/iteration) against
     log(n) and is None when fewer than two sizes are given.  Repeats are
-    seeded individually, so results are reproducible run to run.
+    seeded individually, so results are reproducible run to run.  Raises
+    ValueError unless ``repeats >= 1``, the sizes strictly ascend and the
+    density is finite and positive.
     """
     sizes = [int(n) for n in sizes]
-    if sorted(sizes) != sizes:
-        raise ValueError("sizes must be ascending")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must be strictly ascending, got {sizes}")
+    if not 0.0 < density < math.inf:
+        raise ValueError(f"density must be finite and > 0, got {density}")
 
     def config_for(n):
         return EmConfig(

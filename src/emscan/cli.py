@@ -172,6 +172,11 @@ def _triple(values, flag: str) -> list[float]:
     return values
 
 
+def _pose(values, flag: str, degrees: bool) -> Pose:
+    tx, ty, theta = _triple(values, flag)
+    return Pose(tx, ty, math.radians(theta) if degrees else theta)
+
+
 def _make_gamma(args) -> PrecisionMatrix:
     if args.gamma is not None:
         g00, g01, g11 = _triple(args.gamma, "--gamma")
@@ -182,10 +187,7 @@ def _make_gamma(args) -> PrecisionMatrix:
 def cmd_register(args) -> int:
     scan = load_points(args.scan)
     model = load_points(args.model)
-
-    pose0_vals = _triple(args.pose0, "--pose0")
-    theta0 = math.radians(pose0_vals[2]) if args.degrees else pose0_vals[2]
-    pose0 = Pose(pose0_vals[0], pose0_vals[1], theta0)
+    pose0 = _pose(args.pose0, "--pose0", args.degrees)
     config = EmConfig(
         gamma=_make_gamma(args),
         window_w=args.w,
@@ -223,14 +225,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    shape = args.shape.lower()
-    if shape not in SHAPES:
-        raise ValueError(f"unknown shape {args.shape!r}; choose one of {', '.join(SHAPES)}")
-    pose_vals = _triple(args.pose, "--pose")
-    theta = math.radians(pose_vals[2]) if args.degrees else pose_vals[2]
-    pose = Pose(pose_vals[0], pose_vals[1], theta)
     model, scan, truth = make_scene(
-        shape, args.n, pose,
+        args.shape, args.n, _pose(args.pose, "--pose", args.degrees),
         noise_sigma=args.noise_sigma,
         outlier_fraction=args.outlier_fraction,
         seed=args.seed,
@@ -238,6 +234,7 @@ def cmd_synth(args) -> int:
     model_path = f"{args.out}_model.txt"
     scan_path = f"{args.out}_scan.txt"
     truth_path = f"{args.out}_truth.json"
+    shape = truth["shape"]
     save_points(model_path, model, header=f"{shape} model, n={args.n}, seed={args.seed}")
     save_points(scan_path, scan, header=f"{shape} scan, n={args.n}, seed={args.seed}")
     truth["model_file"] = os.path.basename(model_path)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,8 @@ class EmConfig:
             raise TypeError("gamma must be a PrecisionMatrix")
         if self.window_w is not None and not self.window_w > 0.0:
             raise ValueError(f"window_w must be > 0, got {self.window_w}")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise TypeError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.convergence_epsilon > 0.0:

@@ -1,5 +1,8 @@
 """Exception types raised by the registration library."""
 
+__all__ = ["DegenerateGeometry", "DegenerateRow", "EmptyInput", "NoCorrespondences",
+           "NoInliers", "NonPositiveRadius", "ScanMatchError"]
+
 
 class ScanMatchError(Exception):
     """Base class for every library-specific error."""

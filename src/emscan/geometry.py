@@ -1,4 +1,4 @@
-"""Rigid 2D transforms, the Mahalanobis form, and the Gaussian match kernel.
+"""Rigid 2D transforms, point coercion, and the Mahalanobis form.
 
 Conventions used throughout the library:
 
@@ -23,7 +23,6 @@ __all__ = [
     "Pose",
     "PrecisionMatrix",
     "as_point_array",
-    "edge_density",
     "mahalanobis_sq",
     "wrap_angle",
 ]
@@ -266,15 +265,3 @@ def mahalanobis_sq(v, gamma: PrecisionMatrix):
     out = gamma.g00 * vx * vx + 2.0 * gamma.g01 * vx * vy + gamma.g11 * vy * vy
     return float(out) if out.ndim == 0 else out
 
-
-def edge_density(s, m, pose: Pose, gamma: PrecisionMatrix) -> float:
-    """Unnormalized Gaussian likelihood of scan point ``s`` given model point ``m``.
-
-    Returns ``exp(-||s - pose(m)||^2_Gamma / 2)``, in ``(0, 1]``.  The
-    Gaussian normalization constant is dropped on purpose: responsibilities
-    divide it out and the marginal log-likelihood shifts by a
-    pose-independent constant, so likelihood values are comparable only
-    within one precision-matrix configuration.
-    """
-    residual = _as_xy(s) - pose.apply(_as_xy(m))
-    return float(math.exp(-0.5 * mahalanobis_sq(residual, gamma)))

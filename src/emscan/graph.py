@@ -18,7 +18,7 @@ from .errors import EmptyInput, NonPositiveRadius
 from .geometry import Pose, as_point_array
 from .grid import GridIndex
 
-__all__ = ["MatchGraph", "build_graph", "dump_graph", "outlier_count"]
+__all__ = ["MatchGraph", "build_graph", "dump_graph"]
 
 
 @dataclass
@@ -102,11 +102,6 @@ def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:
     scan_idx, model_idx = GridIndex(pose0.apply(model), w).query_pairs(scan)
     order = np.argsort(scan_idx * model.shape[0] + model_idx)    # by (scan, model)
     return MatchGraph.from_edges(scan, model, scan_idx[order], model_idx[order])
-
-
-def outlier_count(graph: MatchGraph) -> int:
-    """Scan points with an empty gated neighborhood."""
-    return graph.n_scan - graph.inlier_count
 
 
 def dump_graph(graph: MatchGraph, destination) -> None:

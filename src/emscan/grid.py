@@ -75,10 +75,6 @@ class GridIndex:
         return len(self._points)
 
     @property
-    def radius(self) -> float:
-        return self._radius
-
-    @property
     def cell_size(self) -> float:
         return self._cell_size
 

@@ -1,11 +1,12 @@
-"""Slow, transparent reference implementations for tests and field debugging.
+"""Slow all-pairs reference implementations of the neighbor gate and of
+registration.
 
-Everything here recomputes the library's answers from first principles:
-exhaustive neighbor scans, a dense all-pairs responsibility matrix, and a
-derivative-free pose fit.  None of it touches the grid index, so agreement
-with the fast path is meaningful evidence; ``dense_em_register`` shares only
-the EM loop with ``register``.  Expect O(n^2) cost or worse;
-these ship with the library because the command line exposes them through
+``brute_force_neighbors`` scans every point and ``dense_em_register`` runs
+registration on dense (n, m) matrices: an all-pairs gate, responsibilities,
+fit and covariance of its own, sharing only the EM loop with ``register``.
+Neither touches the grid index, so agreement with the fast path is
+meaningful evidence.  Expect O(n^2) cost or worse; they ship with the
+library because the command line exposes the dense registration through
 ``--oracle`` for debugging in the field.
 """
 
@@ -24,15 +25,10 @@ from .errors import (
     NoInliers,
     NonPositiveRadius,
 )
-from .geometry import Point, Pose, _within_radius, as_point_array, mahalanobis_sq
+from .geometry import Pose, _as_xy, _within_radius, as_point_array, mahalanobis_sq
 from .graph import MatchGraph
 
-__all__ = [
-    "brute_force_neighbors",
-    "dense_em_register",
-    "numerical_m_step",
-    "slow_residual_covariance",
-]
+__all__ = ["brute_force_neighbors", "dense_em_register"]
 
 
 def brute_force_neighbors(points, q, w: float) -> np.ndarray:
@@ -44,7 +40,7 @@ def brute_force_neighbors(points, q, w: float) -> np.ndarray:
     if not w > 0.0:
         raise NonPositiveRadius(f"radius must be > 0, got {w}")
     pts = as_point_array(points)
-    qa = np.asarray(tuple(q) if isinstance(q, Point) else q, dtype=float)
+    qa = _as_xy(q)
     if pts.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     return np.nonzero(_within_radius(pts - qa, w))[0].astype(np.int64)
@@ -145,21 +141,6 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
                    _dense_gate, _dense_e_step, _dense_fit, _dense_covariance)
 
 
-def slow_residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]:
-    """Edge-by-edge evaluation of the weighted residual outer-product average."""
-    inlier_rows = {int(j) for j in graph.scan_idx}
-    n_p = len(inlier_rows)
-    if n_p == 0:
-        raise NoInliers("every scan point is an outlier")
-    acc = np.zeros((2, 2))
-    for e in range(graph.edge_count):
-        s = graph.scan[graph.scan_idx[e]]
-        m = pose.apply(graph.model[graph.model_idx[e]])
-        r = s - m
-        acc += graph.posterior[e] * np.outer(r, r)
-    return acc / n_p, n_p
-
-
 def _fd_gradient(fun, y, h=1e-6) -> np.ndarray:
     grad = np.zeros(3)
     for i in range(3):
@@ -226,36 +207,3 @@ def _descend(scan_e, model_e, w, gamma, y0, *, grad_tol=1e-8, max_steps=60):
         if not improved:
             break
     return Pose.from_array(y)
-
-
-def numerical_m_step(graph: MatchGraph, gamma, *, angle_samples: int = 72) -> Pose:
-    """Minimize the weighted fit objective by grid search plus descent.
-
-    Scans ``angle_samples`` rotations; for each one the translation is
-    centered on the weighted-centroid offset and jittered over a small
-    grid, and the best cell seeds a finite-difference Newton refinement.
-    Matches ``m_step`` to about 1e-5 in pose on sane instances while
-    sharing none of its algebra.
-    """
-    w = graph.posterior
-    if graph.edge_count == 0 or not np.any(w > 0.0):
-        raise NoCorrespondences("all responsibilities are zero")
-    total = float(w.sum())
-    if total < 1e-12:
-        raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
-    scan_e = graph.scan[graph.scan_idx]
-    model_e = graph.model[graph.model_idx]
-    c_s = w @ scan_e / total
-    c_m = w @ model_e / total
-    offsets = (-0.25, 0.0, 0.25)
-    best_y, best_value = None, np.inf
-    for theta in np.linspace(-math.pi, math.pi, angle_samples, endpoint=False):
-        c, s = math.cos(theta), math.sin(theta)
-        center = c_s - np.array([c * c_m[0] - s * c_m[1], s * c_m[0] + c * c_m[1]])
-        for dx in offsets:
-            for dy in offsets:
-                y = np.array([center[0] + dx, center[1] + dy, theta])
-                value = _fit_objective(scan_e, model_e, w, gamma, y)
-                if value < best_value:
-                    best_y, best_value = y, value
-    return _descend(scan_e, model_e, w, gamma, best_y)

@@ -1,0 +1,61 @@
+"""Slow reference computations that only the test suite uses.
+
+Each recomputes one library answer from first principles and shares none
+of its algebra: an edge-by-edge residual covariance, and a pose fit by grid
+search plus finite-difference descent on the weighted fit objective.
+"""
+
+import math
+
+import numpy as np
+
+from emscan import DegenerateGeometry, MatchGraph, NoCorrespondences, NoInliers, Pose
+from emscan.oracles import _descend, _fit_objective
+
+
+def slow_residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]:
+    """Edge-by-edge evaluation of the weighted residual outer-product average."""
+    inlier_rows = {int(j) for j in graph.scan_idx}
+    n_p = len(inlier_rows)
+    if n_p == 0:
+        raise NoInliers("every scan point is an outlier")
+    acc = np.zeros((2, 2))
+    for e in range(graph.edge_count):
+        s = graph.scan[graph.scan_idx[e]]
+        m = pose.apply(graph.model[graph.model_idx[e]])
+        r = s - m
+        acc += graph.posterior[e] * np.outer(r, r)
+    return acc / n_p, n_p
+
+
+def numerical_m_step(graph: MatchGraph, gamma, *, angle_samples: int = 72) -> Pose:
+    """Minimize the weighted fit objective by grid search plus descent.
+
+    Scans ``angle_samples`` rotations; for each one the translation is
+    centered on the weighted-centroid offset and jittered over a small
+    grid, and the best cell seeds a finite-difference Newton refinement.
+    Matches ``m_step`` to about 1e-5 in pose on sane instances while
+    sharing none of its algebra.
+    """
+    w = graph.posterior
+    if graph.edge_count == 0 or not np.any(w > 0.0):
+        raise NoCorrespondences("all responsibilities are zero")
+    total = float(w.sum())
+    if total < 1e-12:
+        raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
+    scan_e = graph.scan[graph.scan_idx]
+    model_e = graph.model[graph.model_idx]
+    c_s = w @ scan_e / total
+    c_m = w @ model_e / total
+    offsets = (-0.25, 0.0, 0.25)
+    best_y, best_value = None, np.inf
+    for theta in np.linspace(-math.pi, math.pi, angle_samples, endpoint=False):
+        c, s = math.cos(theta), math.sin(theta)
+        center = c_s - np.array([c * c_m[0] - s * c_m[1], s * c_m[0] + c * c_m[1]])
+        for dx in offsets:
+            for dy in offsets:
+                y = np.array([center[0] + dx, center[1] + dy, theta])
+                value = _fit_objective(scan_e, model_e, w, gamma, y)
+                if value < best_value:
+                    best_y, best_value = y, value
+    return _descend(scan_e, model_e, w, gamma, best_y)

@@ -23,13 +23,12 @@ from emscan import (
     e_step,
     m_step,
     make_scene,
-    numerical_m_step,
     register,
     residual_covariance,
-    slow_residual_covariance,
     wrap_angle,
 )
 from emscan.grid import GridIndex
+from slow_oracles import numerical_m_step, slow_residual_covariance
 
 
 @contextmanager
@@ -322,7 +321,7 @@ def test_linear_scaling():
         rows = [line.split() for line in proc.stdout.splitlines()[1:-1] if line.strip()]
         assert all(float(r[2]) <= 10 for r in rows)
         # edge counts grow linearly at fixed density
-        from emscan import scaling_scene
+        from emscan.bench import scaling_scene
         edges = []
         for n in (1000, 4000):
             scan, model = scaling_scene(n, 0)

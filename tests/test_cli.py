@@ -265,6 +265,24 @@ class TestBenchCommand:
         assert proc.returncode == 1
         assert "ascending" in proc.stderr
 
+    def test_repeated_sizes_exit_one(self):
+        proc = run_cli("bench", "--sizes", "500", "500", "--repeats", "1")
+        assert proc.returncode == 1
+        assert "strictly ascending" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_zero_repeats_exit_one(self):
+        proc = run_cli("bench", "--sizes", "100", "200", "--repeats", "0")
+        assert proc.returncode == 1
+        assert "repeats must be >= 1" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("density", ["0", "-5", "nan", "inf"])
+    def test_bad_density_exit_one(self, density):
+        proc = run_cli("bench", "--sizes", "100", "--repeats", "1", "--density", density)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: density must be finite and > 0")
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_one(self):

@@ -19,14 +19,13 @@ from emscan import (
     e_step,
     m_step,
     make_scene,
-    numerical_m_step,
     register,
     residual_covariance,
     sample_contour,
-    slow_residual_covariance,
     wrap_angle,
 )
 from conftest import assert_pose_close, random_cloud, random_pose
+from slow_oracles import numerical_m_step, slow_residual_covariance
 
 identity = Pose.identity()
 eye = PrecisionMatrix.identity()
@@ -500,3 +499,14 @@ class TestEmConfig:
             EmConfig.isotropic(0.1, window_w=-1.0)
         with pytest.raises(TypeError):
             EmConfig(gamma=np.eye(2))
+
+    def test_iteration_budget_must_be_an_integer(self):
+        for budget in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError, match="max_iterations"):
+                EmConfig.isotropic(0.1, max_iterations=budget)
+        model, scan, _ = make_scene("rectangle", 200, Pose(0.3, -0.2, 0.09),
+                                    noise_sigma=0.02, seed=1)
+        config = EmConfig.isotropic(0.02, window_w=1.0, max_iterations=np.int64(3),
+                                    convergence_epsilon=1e-300)
+        result = register(scan, model, identity, config)
+        assert result.iterations == 3 and not result.converged

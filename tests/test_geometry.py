@@ -8,7 +8,6 @@ from emscan import (
     Pose,
     PrecisionMatrix,
     as_point_array,
-    edge_density,
     mahalanobis_sq,
     wrap_angle,
 )
@@ -202,32 +201,3 @@ class TestMahalanobis:
         assert (out > 0).all()
         assert out[0] == pytest.approx(mahalanobis_sq(vs[0], g))
 
-
-class TestEdgeDensity:
-    def test_zero_residual(self):
-        pose = Pose(0.4, -0.1, 0.3)
-        m = Point(1.0, 2.0)
-        assert edge_density(pose.apply(m), m, pose, PrecisionMatrix.identity()) == 1.0
-
-    def test_unit_and_double_residual(self):
-        gamma = PrecisionMatrix.identity()
-        pose = Pose.identity()
-        # residual (1, 0) -> exp(-1/2); residual (0, 2) -> exp(-2)
-        assert edge_density((1.0, 0.0), (0.0, 0.0), pose, gamma) == pytest.approx(
-            0.6065306597126334, abs=1e-15)
-        assert edge_density((0.0, 2.0), (0.0, 0.0), pose, gamma) == pytest.approx(
-            0.1353352832366127, abs=1e-15)
-
-    def test_range_and_monotonicity(self, rng):
-        gamma = PrecisionMatrix(2.0, 0.5, 1.5)
-        pose = Pose.identity()
-        origin = (0.0, 0.0)
-        pairs = []
-        for _ in range(100):
-            s = rng.uniform(-2, 2, 2)
-            d = edge_density(s, origin, pose, gamma)
-            assert 0.0 < d <= 1.0
-            pairs.append((mahalanobis_sq(s, gamma), d))
-        pairs.sort()
-        densities = [d for _, d in pairs]
-        assert all(b <= a + 1e-15 for a, b in zip(densities, densities[1:]))

@@ -14,7 +14,6 @@ from emscan import (
     ScanMatchError,
     build_graph,
     dump_graph,
-    outlier_count,
 )
 from conftest import random_cloud, random_pose
 
@@ -36,7 +35,6 @@ class TestBuildGraph:
     def test_gate_excludes_far_point(self):
         g = build_graph([(0.0, 0.0)], [(5.0, 5.0)], identity, 1.0)
         assert g.edge_count == 0
-        assert outlier_count(g) == 1
         assert g.inlier_count == 0
 
     def test_empty_inputs_rejected(self):
@@ -198,7 +196,7 @@ class TestOutlierCount:
     def test_every_point_matched(self, rng):
         pts = random_cloud(rng, 40)
         g = build_graph(pts, pts, identity, 0.5)
-        assert outlier_count(g) == 0
+        assert g.inlier_count == g.n_scan
 
     def test_planted_outliers(self, rng):
         model = random_cloud(rng, 60, span=3.0)
@@ -207,7 +205,6 @@ class TestOutlierCount:
         for i, k in enumerate(planted):
             scan[k] = (100.0 + 5 * i, 100.0)
         g = build_graph(scan, model, identity, 0.5)
-        assert outlier_count(g) == len(planted)
         assert g.inlier_count == 60 - len(planted)
 
 

@@ -15,10 +15,10 @@ from emscan import (
     build_graph,
     dense_em_register,
     make_scene,
-    numerical_m_step,
     register,
 )
 from conftest import assert_pose_close, random_cloud
+from slow_oracles import numerical_m_step
 
 identity = Pose.identity()
 
@@ -50,6 +50,12 @@ class TestBruteForceNeighbors:
     def test_rejects_bad_radius(self):
         with pytest.raises(NonPositiveRadius):
             brute_force_neighbors([(0.0, 0.0)], (0.0, 0.0), 0.0)
+
+    def test_rejects_malformed_query(self):
+        pts = [(0.0, 0.0), (5.0, 5.0)]
+        for q in ([(0.0, 0.0), (5.0, 5.0)], [(0.0, 0.0)], (1.0, 2.0, 3.0)):
+            with pytest.raises(ValueError, match="single 2D point"):
+                brute_force_neighbors(pts, q, 1.0)
 
     def test_matches_direct_distances(self, rng):
         pts = random_cloud(rng, 100)
