@@ -1,8 +1,12 @@
 """Command line: register point files, synthesize scenes, benchmark scaling.
 
 Every option can also be set through an environment variable named after it
-with the ``EMSCAN_`` prefix (``--max-iters`` reads ``EMSCAN_MAX_ITERS``,
-multi-valued options take whitespace-separated values).  Explicit flags win
+with the ``EMSCAN_`` prefix (``--max-iters`` reads ``EMSCAN_MAX_ITERS``).
+The value is parsed with the flag's own type and arity: switches take
+``1/true/yes/on`` or ``0/false/no/off`` (any case; empty is off), and
+multi-valued options take values separated by whitespace or commas, exactly
+3 for ``--pose0``, ``--pose`` and ``--gamma`` and at least 1 for ``--sizes``.
+Any other value is an input error naming the variable.  Explicit flags win
 over environment values.
 
 Exit codes: 0 on success, 1 on input or usage errors, 2 when registration
@@ -41,7 +45,8 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
-_TRUTHY = {"1", "true", "yes", "on"}
+_SWITCH_ON = ("1", "true", "yes", "on")
+_SWITCH_OFF = ("", "0", "false", "no", "off")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,26 +62,35 @@ def _env_name(flag: str) -> str:
     return ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
 
 
-def _env(flag: str, cast, fallback):
-    raw = os.environ.get(_env_name(flag))
-    if raw is None:
-        return fallback
-    try:
+def _env_value(action: argparse.Action, raw: str):
+    if action.nargs == 0:
+        word = raw.strip().lower()
+        if word not in _SWITCH_ON + _SWITCH_OFF:
+            raise ValueError("a switch takes 1/true/yes/on or 0/false/no/off")
+        return word in _SWITCH_ON
+    cast = action.type or str
+    if action.nargs is None:
         return cast(raw)
+    values = [cast(tok) for tok in raw.replace(",", " ").split()]
+    if action.nargs == "+" and not values:
+        raise ValueError("needs at least 1 value")
+    if isinstance(action.nargs, int) and len(values) != action.nargs:
+        raise ValueError(f"needs exactly {action.nargs} values, got {len(values)}")
+    return values
+
+
+def _option(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    """Add ``flag``; a set ``EMSCAN_<FLAG>`` replaces its default and makes it optional."""
+    action = parser.add_argument(flag, **kwargs)
+    name = _env_name(flag)
+    raw = os.environ.get(name)
+    if raw is None:
+        return
+    try:
+        action.default = _env_value(action, raw)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for {_env_name(flag)}: {raw!r} ({exc})") from None
-
-
-def _env_floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _env_ints(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _env_bool(raw: str) -> bool:
-    return raw.strip().lower() in _TRUTHY
+        raise ValueError(f"bad value for {name}: {raw!r} ({exc})") from None
+    action.required = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,101 +107,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reg.add_argument("scan", help="scan point file (lines of 'x y')")
     reg.add_argument("model", help="model point file (lines of 'x y')")
-    reg.add_argument("--pose0", nargs=3, type=float, metavar=("TX", "TY", "THETA"),
-                     default=_env("--pose0", _env_floats, [0.0, 0.0, 0.0]),
-                     help="initial pose guess (default: identity)")
-    reg.add_argument("--w", type=float, default=_env("--w", float, None),
-                     help="gate radius in meters (default: 3*sigma)")
-    reg.add_argument("--sigma", type=float,
-                     default=_env("--sigma", float, DEFAULT_SIGMA),
-                     help=f"isotropic noise std in meters (default {DEFAULT_SIGMA})")
-    reg.add_argument("--gamma", nargs=3, type=float, metavar=("G00", "G01", "G11"),
-                     default=_env("--gamma", _env_floats, None),
-                     help="full precision matrix entries; overrides --sigma")
-    reg.add_argument("--epsilon", type=float,
-                     default=_env("--epsilon", float, DEFAULT_CONVERGENCE_EPSILON),
-                     help="log-likelihood convergence threshold")
-    reg.add_argument("--max-iters", type=int,
-                     default=_env("--max-iters", int, DEFAULT_MAX_ITERATIONS),
-                     help="iteration budget")
-    reg.add_argument("--oracle", action="store_true",
-                     default=_env("--oracle", _env_bool, False),
-                     help="use the dense all-pairs reference implementation")
-    reg.add_argument("--regate", action="store_true",
-                     default=_env("--regate", _env_bool, False),
-                     help="rebuild the gate at the current pose every sweep")
-    reg.add_argument("--degrees", action="store_true",
-                     default=_env("--degrees", _env_bool, False),
-                     help="read and print angles in degrees")
-    reg.add_argument("--dump-graph", metavar="PATH",
-                     default=_env("--dump-graph", str, None),
-                     help="write 'j k prior posterior' edge lines to PATH")
+    _option(reg, "--pose0", nargs=3, type=float, metavar=("TX", "TY", "THETA"),
+            default=[0.0, 0.0, 0.0], help="initial pose guess (default: identity)")
+    _option(reg, "--w", type=float, help="gate radius in meters (default: 3*sigma)")
+    _option(reg, "--sigma", type=float, default=DEFAULT_SIGMA,
+            help=f"isotropic noise std in meters (default {DEFAULT_SIGMA})")
+    _option(reg, "--gamma", nargs=3, type=float, metavar=("G00", "G01", "G11"),
+            help="full precision matrix entries; overrides --sigma")
+    _option(reg, "--epsilon", type=float, default=DEFAULT_CONVERGENCE_EPSILON,
+            help="log-likelihood convergence threshold")
+    _option(reg, "--max-iters", type=int, default=DEFAULT_MAX_ITERATIONS,
+            help="iteration budget")
+    _option(reg, "--oracle", action="store_true",
+            help="use the dense all-pairs reference implementation")
+    _option(reg, "--regate", action="store_true",
+            help="rebuild the gate at the current pose every sweep")
+    _option(reg, "--degrees", action="store_true", help="read and print angles in degrees")
+    _option(reg, "--dump-graph", metavar="PATH",
+            help="write 'j k prior posterior' edge lines to PATH")
     reg.set_defaults(func=cmd_register)
 
     syn = sub.add_parser(
         "synth", help="generate a synthetic scene",
         description="Write PREFIX_model.txt, PREFIX_scan.txt, PREFIX_truth.json.",
     )
-    syn.add_argument("--shape", default=_env("--shape", str, "rectangle"),
-                     help=f"one of: {', '.join(SHAPES)}")
-    syn.add_argument("--n", type=int, default=_env("--n", int, 200),
-                     help="number of contour points (>= 3)")
-    syn.add_argument("--pose", nargs=3, type=float, metavar=("TX", "TY", "THETA"),
-                     default=_env("--pose", _env_floats, [0.0, 0.0, 0.0]),
-                     help="ground-truth pose applied to the model")
-    syn.add_argument("--noise-sigma", type=float,
-                     default=_env("--noise-sigma", float, 0.0))
-    syn.add_argument("--outlier-fraction", type=float,
-                     default=_env("--outlier-fraction", float, 0.0))
-    syn.add_argument("--seed", type=int, default=_env("--seed", int, 0))
-    syn.add_argument("--degrees", action="store_true",
-                     default=_env("--degrees", _env_bool, False),
-                     help="interpret the pose angle in degrees")
-    out = _env("--out", str, None)
-    syn.add_argument("--out", default=out, required=out is None, metavar="PREFIX",
-                     help="output path prefix")
+    _option(syn, "--shape", default="rectangle", help=f"one of: {', '.join(SHAPES)}")
+    _option(syn, "--n", type=int, default=200, help="number of contour points (>= 3)")
+    _option(syn, "--pose", nargs=3, type=float, metavar=("TX", "TY", "THETA"),
+            default=[0.0, 0.0, 0.0], help="ground-truth pose applied to the model")
+    _option(syn, "--noise-sigma", type=float, default=0.0)
+    _option(syn, "--outlier-fraction", type=float, default=0.0)
+    _option(syn, "--seed", type=int, default=0)
+    _option(syn, "--degrees", action="store_true", help="interpret the pose angle in degrees")
+    _option(syn, "--out", required=True, metavar="PREFIX", help="output path prefix")
     syn.set_defaults(func=cmd_synth)
 
     ben = sub.add_parser(
         "bench", help="measure per-iteration scaling",
         description="Time registration over scene sizes at fixed density.",
     )
-    ben.add_argument("--sizes", nargs="+", type=int,
-                     default=_env("--sizes", _env_ints, [1000, 2000, 4000, 8000]),
-                     help="ascending scan sizes")
-    ben.add_argument("--repeats", type=int, default=_env("--repeats", int, 3))
-    ben.add_argument("--seed", type=int, default=_env("--seed", int, 0))
-    ben.add_argument("--density", type=float,
-                     default=_env("--density", float, DEFAULT_DENSITY),
-                     help="points per square meter")
-    ben.add_argument("--w", type=float, default=_env("--w", float, DEFAULT_WINDOW),
-                     help="gate radius in meters")
+    _option(ben, "--sizes", nargs="+", type=int, default=[1000, 2000, 4000, 8000],
+            help="ascending scan sizes")
+    _option(ben, "--repeats", type=int, default=3)
+    _option(ben, "--seed", type=int, default=0)
+    _option(ben, "--density", type=float, default=DEFAULT_DENSITY,
+            help="points per square meter")
+    _option(ben, "--w", type=float, default=DEFAULT_WINDOW, help="gate radius in meters")
     ben.set_defaults(func=cmd_bench)
     return parser
 
 
-def _triple(values, flag: str) -> list[float]:
-    if len(values) != 3:
-        raise ValueError(f"{flag} needs exactly 3 values, got {len(values)}")
-    return values
-
-
-def _pose(values, flag: str, degrees: bool) -> Pose:
-    tx, ty, theta = _triple(values, flag)
+def _pose(values, degrees: bool) -> Pose:
+    tx, ty, theta = values
     return Pose(tx, ty, math.radians(theta) if degrees else theta)
 
 
 def _make_gamma(args) -> PrecisionMatrix:
     if args.gamma is not None:
-        g00, g01, g11 = _triple(args.gamma, "--gamma")
-        return PrecisionMatrix(g00, g01, g11)
+        return PrecisionMatrix(*args.gamma)
     return PrecisionMatrix.isotropic(args.sigma)
 
 
 def cmd_register(args) -> int:
     scan = load_points(args.scan)
     model = load_points(args.model)
-    pose0 = _pose(args.pose0, "--pose0", args.degrees)
+    pose0 = _pose(args.pose0, args.degrees)
     config = EmConfig(
         gamma=_make_gamma(args),
         window_w=args.w,
@@ -226,7 +210,7 @@ def cmd_register(args) -> int:
 
 def cmd_synth(args) -> int:
     model, scan, truth = make_scene(
-        args.shape, args.n, _pose(args.pose, "--pose", args.degrees),
+        args.shape, args.n, _pose(args.pose, args.degrees),
         noise_sigma=args.noise_sigma,
         outlier_fraction=args.outlier_fraction,
         seed=args.seed,

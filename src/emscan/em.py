@@ -90,8 +90,8 @@ class EmConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.gamma, PrecisionMatrix):
             raise TypeError("gamma must be a PrecisionMatrix")
-        if self.window_w is not None and not self.window_w > 0.0:
-            raise ValueError(f"window_w must be > 0, got {self.window_w}")
+        if self.window_w is not None and not 0.0 < self.window_w < math.inf:
+            raise ValueError(f"window_w must be finite and > 0, got {self.window_w}")
         if not isinstance(self.max_iterations, numbers.Integral):
             raise TypeError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:

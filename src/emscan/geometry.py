@@ -203,9 +203,10 @@ class PrecisionMatrix:
     @classmethod
     def isotropic(cls, sigma: float) -> "PrecisionMatrix":
         """Precision ``I / sigma^2`` for isotropic noise of std ``sigma``."""
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-        g = 1.0 / (sigma * sigma)
+        var = sigma * sigma
+        g = 1.0 / var if var > 0.0 else math.inf
+        if not (sigma > 0.0 and 0.0 < g < math.inf):
+            raise ValueError(f"sigma must be > 0 with 1/sigma^2 finite and > 0, got {sigma}")
         return cls(g, 0.0, g)
 
     @classmethod

@@ -42,9 +42,5 @@ def load_points(path) -> np.ndarray:
 
 
 def save_points(path, points, header: str | None = None) -> None:
-    arr = as_point_array(points)
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for x, y in arr:
-            fh.write(f"{x:.17g} {y:.17g}\n")
+    np.savetxt(path, as_point_array(points), fmt="%.17g", header=header or "",
+               comments="# ", encoding="utf-8")

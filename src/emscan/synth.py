@@ -70,8 +70,8 @@ def make_scene(shape: str, n_points: int, pose: Pose, noise_sigma: float = 0.0,
     """
     if not 0.0 <= outlier_fraction <= 1.0:
         raise ValueError(f"outlier_fraction must be in [0, 1], got {outlier_fraction}")
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     model = sample_contour(shape, n_points)
     rng = np.random.default_rng(seed)
 

@@ -186,6 +186,34 @@ class TestRegisterCommand:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["converged"] is True
 
+    @pytest.mark.parametrize("name, value, oracle", [
+        ("EMSCAN_ORACLE", "on", True),
+        ("EMSCAN_ORACLE", "1", True),
+        ("EMSCAN_ORACLE", "off", False),
+        ("EMSCAN_ORACLE", "", False),
+        ("EMSCAN_ORACLE", "ture", None),
+        ("EMSCAN_POSE0", "1 2", None),
+        ("EMSCAN_GAMMA", "1,0", None),
+    ])
+    def test_env_parsed_by_flag_type_and_arity(self, tmp_path, name, value, oracle):
+        scan_path, model_path, _ = write_scene(tmp_path, n_points=50)
+        proc = run_cli("register", scan_path, model_path, "--sigma", "0.02", "--w", "1.0",
+                       env_extra={name: value})
+        if oracle is None:
+            assert proc.returncode == 1
+            assert name in proc.stderr
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["oracle"] is oracle
+
+    @pytest.mark.parametrize("flag, value", [("--sigma", "1e-200"), ("--w", "inf")])
+    def test_unusable_scale_exits_one(self, tmp_path, flag, value):
+        scan_path, model_path, _ = write_scene(tmp_path, n_points=50)
+        proc = run_cli("register", scan_path, model_path, flag, value)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
 
 class TestSynthCommand:
     def test_deterministic_files(self, tmp_path):
@@ -235,6 +263,13 @@ class TestSynthCommand:
         truth = json.loads((tmp_path / "deg_truth.json").read_text())
         assert truth["pose"]["theta"] == pytest.approx(math.pi / 2)
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_exits_one(self, tmp_path, noise):
+        proc = run_cli("synth", "--noise-sigma", noise, "--out", tmp_path / "x")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: noise_sigma must be finite")
+        assert not list(tmp_path.iterdir())
+
     def test_out_read_from_env(self, tmp_path):
         proc = run_cli("synth", "--n", "20",
                        env_extra={"EMSCAN_OUT": str(tmp_path / "env")})
@@ -282,6 +317,11 @@ class TestBenchCommand:
         proc = run_cli("bench", "--sizes", "100", "--repeats", "1", "--density", density)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: density must be finite and > 0")
+
+    def test_infinite_window_exits_one(self):
+        proc = run_cli("bench", "--sizes", "100", "--repeats", "1", "--w", "inf")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: window_w must be finite and > 0")
 
 
 class TestUsageErrors:

@@ -500,6 +500,11 @@ class TestEmConfig:
         with pytest.raises(TypeError):
             EmConfig(gamma=np.eye(2))
 
+    @pytest.mark.parametrize("window", [math.inf, math.nan])
+    def test_window_must_be_finite(self, window):
+        with pytest.raises(ValueError, match="window_w"):
+            EmConfig.isotropic(0.1, window_w=window)
+
     def test_iteration_budget_must_be_an_integer(self):
         for budget in (2.5, 3.0, "3"):
             with pytest.raises(TypeError, match="max_iterations"):

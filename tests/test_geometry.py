@@ -157,6 +157,11 @@ class TestPrecisionMatrix:
         with pytest.raises(ValueError):
             PrecisionMatrix.isotropic(0.0)
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-161, 1e200, math.inf, math.nan, -0.5])
+    def test_isotropic_refuses_sigma_without_finite_precision(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            PrecisionMatrix.isotropic(sigma)
+
     def test_from_matrix_requires_symmetry(self):
         with pytest.raises(ValueError):
             PrecisionMatrix.from_matrix([[1.0, 0.5], [0.4, 1.0]])

@@ -73,6 +73,11 @@ class TestMakeScene:
         with pytest.raises(ValueError):
             make_scene("circle", 10, Pose.identity(), noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("noise_sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_noise(self, noise_sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            make_scene("circle", 10, Pose.identity(), noise_sigma=noise_sigma)
+
     def test_truth_record_fields(self):
         pose = Pose(0.1, -0.2, math.radians(4.0))
         _, _, truth = make_scene("l-shape", 50, pose, noise_sigma=0.01, seed=9)
