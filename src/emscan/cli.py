@@ -6,8 +6,9 @@ The value is parsed with the flag's own type and arity: switches take
 ``1/true/yes/on`` or ``0/false/no/off`` (any case; empty is off), and
 multi-valued options take values separated by whitespace or commas, exactly
 3 for ``--pose0``, ``--pose`` and ``--gamma`` and at least 1 for ``--sizes``.
-Any other value is an input error naming the variable.  Explicit flags win
-over environment values.
+Any other value is an input error naming the variable.  Only the variables
+of the subcommand that runs are read.  Explicit flags win over environment
+values.
 
 Exit codes: 0 on success, 1 on input or usage errors, 2 when registration
 ran out of iterations without converging (the result is still printed).
@@ -50,7 +51,24 @@ _SWITCH_OFF = ("", "0", "false", "no", "off")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with the input-error code."""
+    """Argument parser whose usage errors exit with the input-error code and
+    that reads its ``_option`` variables only when it parses."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.env_options: list[tuple[argparse.Action, str]] = []
+
+    def parse_known_args(self, args=None, namespace=None):
+        for action, name in self.env_options:
+            raw = os.environ.get(name)
+            if raw is None:
+                continue
+            try:
+                action.default = _env_value(action, raw)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad value for {name}: {raw!r} ({exc})") from None
+            action.required = False
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -79,18 +97,9 @@ def _env_value(action: argparse.Action, raw: str):
     return values
 
 
-def _option(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+def _option(parser: _Parser, flag: str, **kwargs) -> None:
     """Add ``flag``; a set ``EMSCAN_<FLAG>`` replaces its default and makes it optional."""
-    action = parser.add_argument(flag, **kwargs)
-    name = _env_name(flag)
-    raw = os.environ.get(name)
-    if raw is None:
-        return
-    try:
-        action.default = _env_value(action, raw)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad value for {name}: {raw!r} ({exc})") from None
-    action.required = False
+    parser.env_options.append((parser.add_argument(flag, **kwargs), _env_name(flag)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +256,7 @@ def cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        # Building the parser reads the EMSCAN_* defaults, which may be bad.
+        # Parsing reads the chosen subcommand's EMSCAN_* variables, which may be bad.
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:   # --help, or a usage error already reported

@@ -65,13 +65,10 @@ class EmConfig:
     ``window_w`` of None selects the default gate radius of three times the
     largest noise std implied by ``gamma`` (3 sigma tail mass is
     negligible).  ``regate_each_iteration`` rebuilds the gate at the
-    current pose every sweep instead of holding the initial gate fixed;
-    ``reestimate_gamma`` refits the precision from the residual covariance
-    between sweeps.  Both are off by default, and the log-likelihood trace
-    is guaranteed non-decreasing only with both off.  ``register`` and
-    ``oracles.dense_em_register`` read these settings in one shared loop,
-    whose sweep is: gate (at ``pose0``, then every sweep when regating),
-    E-step, stopping test, M-step, gamma refit.
+    current pose every sweep instead of holding the initial gate fixed; it
+    is off by default.  ``register`` and ``oracles.dense_em_register`` read
+    these settings in one shared loop, whose sweep is: gate (at ``pose0``,
+    then every sweep when regating), E-step, stopping test, M-step.
 
     Known limitation: with ``regate_each_iteration`` each trace entry is
     the log-likelihood at a pose on the gate built at that pose, so
@@ -85,7 +82,6 @@ class EmConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     convergence_epsilon: float = DEFAULT_CONVERGENCE_EPSILON
     regate_each_iteration: bool = False
-    reestimate_gamma: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.gamma, PrecisionMatrix):
@@ -152,18 +148,24 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     rows of ``log sum_k prior_jk * density_jk``, read off the same per-row
     max and denominator.  Outlier rows contribute zero, and a graph without
     edges scores exactly 0.  The dropped Gaussian normalization constant
-    shifts it by a pose-independent amount.
+    shifts it by a pose-independent amount.  Raises DegenerateRow when it
+    is not finite, as when the exponents overflow.
     """
     if graph.edge_count == 0:
         return 0.0
     counts = graph.neighbor_counts
     nonempty = counts > 0
     starts, counts = graph.row_start[:-1][nonempty], counts[nonempty]
-    expo = _edge_exponents(graph, pose, gamma)
-    row_max = np.maximum.reduceat(expo, starts)
-    shifted = np.exp(expo - np.repeat(row_max, counts))
-    denom = np.add.reduceat(shifted, starts)
-    loglik = float(np.sum(row_max + np.log(denom)))
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
+        expo = _edge_exponents(graph, pose, gamma)
+        row_max = np.maximum.reduceat(expo, starts)
+        shifted = np.exp(expo - np.repeat(row_max, counts))
+        denom = np.add.reduceat(shifted, starts)
+        loglik = float(np.sum(row_max + np.log(denom)))
+    # The max shift keeps every denom >= 1 and every shifted value in
+    # [0, 1], so a finite log-likelihood implies finite posteriors.
+    if not math.isfinite(loglik):
+        raise DegenerateRow(f"log-likelihood {loglik} is not finite")
 
     deep = row_max < _DEEP_TAIL_LOG
     if deep.any():
@@ -172,19 +174,7 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
             "still normalized via max-shift", int(deep.sum()), _DEEP_TAIL_LOG,
         )
 
-    posterior = shifted / np.repeat(denom, counts)
-    if not np.isfinite(posterior).all():
-        # Max-shift keeps each nonempty row's denominator >= 1, so this is
-        # only reachable through corrupt graph state.  Keep priors for the
-        # broken rows; give up if even those are unusable.
-        bad_rows = ~np.isfinite(denom) | (denom <= 0.0)
-        bad_edges = np.repeat(bad_rows, counts)
-        logger.warning("responsibility normalization failed for %d rows; keeping priors",
-                       int(bad_rows.sum()))
-        posterior[bad_edges] = graph.prior[bad_edges]
-        if not np.isfinite(posterior).all():
-            raise DegenerateRow("responsibility row cannot be normalized")
-    graph.posterior[:] = posterior
+    graph.posterior[:] = shifted / np.repeat(denom, counts)
     return loglik
 
 
@@ -228,7 +218,10 @@ def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
     best so far only when lower by more than its rounding error, so the
     result is never above ``f(seed)``.
     """
-    g00, g01, g11 = gamma.g00, gamma.g01, gamma.g11
+    # Gamma scaled by the power of two that puts its largest entry in [0.5, 1):
+    # exact, so ``coef`` keeps its normalized value but cannot overflow.
+    exponent = -math.frexp(max(gamma.g00, gamma.g11))[1]
+    g00, g01, g11 = (math.ldexp(g, exponent) for g in (gamma.g00, gamma.g01, gamma.g11))
     d, e, gd = 0.5 * (b[0, 0] - b[1, 1]), b[0, 1], g00 - g11
     coef = np.array([gd * d + 2.0 * g01 * e,
                      2.0 * g01 * d - gd * e,
@@ -298,14 +291,12 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
     Stops when the log-likelihood gain of one sweep falls below
     ``config.convergence_epsilon`` or the iteration budget is exhausted.
     Per-sweep cost is O(E).  ``oracles.dense_em_register`` runs the same
-    loop over its own dense steps.
+    loop over its own dense steps.  Regating has the known limitation
+    stated on ``EmConfig``.
 
-    Known limitation: under ``regate_each_iteration`` consecutive trace
-    entries come from different gates, so the trace is not monotone and a
-    change of gate can still end a run early with ``converged=True``.
-
-    Raises EmptyInput for empty point sets and NoCorrespondences when the
-    gate leaves no candidate pairs.  Running out of iterations is reported
+    Raises EmptyInput for empty point sets, NoCorrespondences when the
+    gate leaves no candidate pairs, and DegenerateRow when the
+    log-likelihood overflows.  Running out of iterations is reported
     via ``converged=False``, not an error.
 
     Reentrant: no shared state, so registrations of different targets may
@@ -325,11 +316,8 @@ def _run_em(scan, model, pose0: Pose, config: EmConfig,
     Each sweep gates (at ``pose0`` first, then at every pose when
     regating), runs one E-step, whose log-likelihood is appended to the
     trace and compared with the one before it, and, unless that stops the
-    run, one M-step followed by the optional gamma refit.  ``iterations``
-    counts M-steps.  With ``reestimate_gamma`` the trace restores the
-    ``sqrt(det Gamma)`` normalizer, which then varies between sweeps,
-    making the refit a proper conditional M-step with a monotone objective.
-    Under regating, consecutive trace entries come from different gates.
+    run, one M-step.  ``iterations`` counts M-steps.  Under regating the
+    trace has the known limitation stated on ``EmConfig``.
     """
     window = config.resolved_window()
     pose, gamma = pose0, config.gamma
@@ -344,8 +332,6 @@ def _run_em(scan, model, pose0: Pose, config: EmConfig,
                     f"no scan point is within {window} m of the model at {pose}"
                 )
         loglik = e_step(graph, pose, gamma)
-        if config.reestimate_gamma:
-            loglik += 0.5 * graph.inlier_count * math.log(gamma.det)
         trace.append(loglik)
         sweeps = len(trace) - 1
         if sweeps and loglik - trace[-2] < config.convergence_epsilon:
@@ -354,11 +340,6 @@ def _run_em(scan, model, pose0: Pose, config: EmConfig,
         if sweeps == config.max_iterations:
             break
         pose = m_step(graph, gamma)
-        if config.reestimate_gamma:
-            try:
-                gamma = PrecisionMatrix.from_covariance(covariance(graph, pose)[0])
-            except ValueError:
-                pass    # singular residuals: keep the previous precision
 
     # The last E-step ran at the returned pose, so the covariance matches it.
     cov, n_p = covariance(graph, pose)

@@ -29,4 +29,4 @@ class NoInliers(ScanMatchError):
 
 
 class DegenerateRow(ScanMatchError):
-    """A responsibility row could not be normalized even in log domain."""
+    """A responsibility row cannot be normalized: the log-likelihood is not finite."""

@@ -176,8 +176,9 @@ class PrecisionMatrix:
     """Symmetric positive definite 2x2 precision matrix, units 1/m^2.
 
     Stored as the three entries ``(g00, g01, g11)`` so symmetry holds by
-    construction; positive definiteness is checked at construction.  This
-    is the inverse covariance of the Gaussian measurement noise model.
+    construction; positive definiteness and a finite determinant are
+    checked at construction.  This is the inverse covariance of the
+    Gaussian measurement noise model.
     """
 
     g00: float
@@ -188,13 +189,12 @@ class PrecisionMatrix:
         g00, g01, g11 = float(self.g00), float(self.g01), float(self.g11)
         if not (math.isfinite(g00) and math.isfinite(g01) and math.isfinite(g11)):
             raise ValueError("precision matrix entries must be finite")
-        if g00 <= 0.0 or g00 * g11 - g01 * g01 <= 0.0:
-            raise ValueError(
-                f"precision matrix [[{g00}, {g01}], [{g01}, {g11}]] is not positive definite"
-            )
         object.__setattr__(self, "g00", g00)
         object.__setattr__(self, "g01", g01)
         object.__setattr__(self, "g11", g11)
+        if not (g00 > 0.0 and 0.0 < self.det < math.inf):
+            raise ValueError(f"precision matrix [[{g00}, {g01}], [{g01}, {g11}]] is not "
+                             "positive definite with a finite determinant")
 
     @classmethod
     def identity(cls) -> "PrecisionMatrix":
@@ -219,20 +219,6 @@ class PrecisionMatrix:
             raise ValueError("matrix is not symmetric")
         return cls(arr[0, 0], 0.5 * (arr[0, 1] + arr[1, 0]), arr[1, 1])
 
-    @classmethod
-    def from_covariance(cls, cov) -> "PrecisionMatrix":
-        """The inverse of a 2x2 noise covariance.
-
-        Raises ValueError when ``cov`` is singular or its inverse is not
-        symmetric positive definite.
-        """
-        cov = np.asarray(cov, dtype=float)
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-        if not (math.isfinite(det) and det > 1e-300):
-            raise ValueError(f"covariance {cov.tolist()} is singular")
-        return cls.from_matrix(
-            np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det)
-
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.g00, self.g01], [self.g01, self.g11]])
 
@@ -245,10 +231,13 @@ class PrecisionMatrix:
         return self.g01 == 0.0 and self.g00 == self.g11
 
     def eigenvalues(self) -> tuple[float, float]:
-        """Both eigenvalues, ascending."""
+        """Both eigenvalues, ascending; the smaller as ``det / larger``, free of cancellation."""
         mean = 0.5 * (self.g00 + self.g11)
         spread = math.hypot(0.5 * (self.g00 - self.g11), self.g01)
-        return (mean - spread, mean + spread)
+        if spread == 0.0:
+            return (mean, mean)
+        larger = mean + spread
+        return (self.det / larger, larger)
 
     def max_noise_sigma(self) -> float:
         """Largest per-axis noise std implied by this precision."""

@@ -20,6 +20,7 @@ import numpy as np
 from .em import EmConfig, RegistrationResult, _run_em
 from .errors import (
     DegenerateGeometry,
+    DegenerateRow,
     EmptyInput,
     NoCorrespondences,
     NoInliers,
@@ -71,14 +72,17 @@ def _dense_e_step(graph, pose, gamma) -> float:
     nonempty = degrees > 0
     log_prior = -np.log(np.maximum(degrees, 1))[:, None]
     diff = graph.scan[:, None, :] - pose.apply(graph.model)[None, :, :]
-    expo = np.where(adjacency, log_prior - 0.5 * mahalanobis_sq(diff, gamma), -np.inf)
-    row_max = np.where(nonempty, expo.max(axis=1), 0.0)
-    shifted = np.where(adjacency, np.exp(expo - row_max[:, None]), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
+        expo = np.where(adjacency, log_prior - 0.5 * mahalanobis_sq(diff, gamma), -np.inf)
+        row_max = np.where(nonempty, expo.max(axis=1), 0.0)
+        shifted = np.where(adjacency, np.exp(expo - row_max[:, None]), 0.0)
+        total = 0.0
+        for j in np.nonzero(nonempty)[0]:
+            row_max = expo[j].max()
+            total += row_max + math.log(np.exp(expo[j] - row_max).sum())
+    if not math.isfinite(total):
+        raise DegenerateRow(f"log-likelihood {total} is not finite")
     graph.posterior[:] = shifted[adjacency] / shifted.sum(axis=1)[graph.scan_idx]
-    total = 0.0
-    for j in np.nonzero(nonempty)[0]:
-        row_max = expo[j].max()
-        total += row_max + math.log(np.exp(expo[j] - row_max).sum())
     return total
 
 
@@ -127,15 +131,12 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
     The window gate is applied to the full distance matrix, and the
     responsibilities, log-likelihood, fit and covariance are computed on
     dense (n, m) matrices.  Both paths run one EM loop, which owns
-    regating, the gamma refit, the trace and the stopping rule, so the
-    contract matches ``register`` exactly, including error behavior and the
-    meaning of the optional modes.
+    regating, the trace and the stopping rule, so the contract matches
+    ``register`` exactly, including error behavior and the meaning of
+    regating, with the known limitation stated on ``EmConfig``.
 
     Each sweep gates (at ``pose0``, then at every pose when regating),
-    runs one E-step, the stopping test and one M-step.  Known limitation,
-    shared with ``register``: under ``regate_each_iteration`` consecutive
-    trace entries come from different gates, so the trace is not monotone
-    and a change of gate can still end a run early.
+    runs one E-step, the stopping test and one M-step.
     """
     return _run_em(as_point_array(scan), as_point_array(model), pose0, config,
                    _dense_gate, _dense_e_step, _dense_fit, _dense_covariance)

@@ -214,6 +214,28 @@ class TestRegisterCommand:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("--sigma", "1e-154", "--w", "1.0"),
+        ("--gamma", "1.7e308", "0", "1e-10", "--w", "10"),
+        ("--gamma", "1.7e308", "0", "1e-10", "--w", "10", "--oracle"),
+    ])
+    def test_overflowing_precision_exits_one(self, tmp_path, args):
+        scan_path, model_path, _ = write_scene(tmp_path)
+        proc = run_cli("register", scan_path, model_path, *args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("gamma", [("1e20", "0", "1e-3"), ("1e300", "0", "1e-10")])
+    def test_default_window_of_far_anisotropic_precision(self, tmp_path, gamma):
+        scan_path, model_path, _ = write_scene(tmp_path, n_points=50)
+        proc = run_cli("register", scan_path, model_path, "--gamma", *gamma)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode in (0, 2), proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["window"] == pytest.approx(3.0 / math.sqrt(float(gamma[2])))
+        assert all(math.isfinite(v) for v in record["loglik_trace"])
+
 
 class TestSynthCommand:
     def test_deterministic_files(self, tmp_path):
@@ -340,3 +362,11 @@ class TestUsageErrors:
         monkeypatch.setenv("EMSCAN_MAX_ITERS", "abc")
         assert main(["register", str(scan_path), str(model_path)]) == 1
         assert "EMSCAN_MAX_ITERS" in capsys.readouterr().err
+
+    def test_bad_env_value_stops_only_its_subcommand(self, tmp_path):
+        env = {"EMSCAN_SIZES": ""}
+        synth = run_cli("synth", "--n", "10", "--out", tmp_path / "x", env_extra=env)
+        assert synth.returncode == 0, synth.stderr
+        bench = run_cli("bench", "--sizes", "100", "--repeats", "1", env_extra=env)
+        assert bench.returncode == 1
+        assert "EMSCAN_SIZES" in bench.stderr

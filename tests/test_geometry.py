@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emscan import (
     Point,
@@ -149,6 +150,10 @@ class TestPrecisionMatrix:
         with pytest.raises(ValueError):
             PrecisionMatrix(1.0, 0.0, 0.0)   # singular
 
+    def test_rejects_overflowing_determinant(self):
+        with pytest.raises(ValueError, match="finite determinant"):
+            PrecisionMatrix(1e300, 0.0, 1e300)
+
     def test_isotropic(self):
         g = PrecisionMatrix.isotropic(0.5)
         assert g.is_isotropic
@@ -177,6 +182,18 @@ class TestPrecisionMatrix:
             np.testing.assert_allclose(g.eigenvalues(),
                                        np.linalg.eigvalsh(g.as_matrix()),
                                        atol=1e-12)
+
+    @settings(deadline=None, max_examples=300)
+    @given(log_g00=st.floats(-150.0, 150.0), log_g11=st.floats(-150.0, 150.0),
+           corr=st.floats(-0.999, 0.999))
+    def test_eigenvalues_keep_det_and_trace(self, log_g00, log_g11, corr):
+        # eigenvalue ratios up to 1e300, where mean - spread cancels
+        g00, g11 = 10.0 ** log_g00, 10.0 ** log_g11
+        g = PrecisionMatrix(g00, corr * math.sqrt(g00 * g11), g11)
+        lo, hi = g.eigenvalues()
+        assert 0.0 < lo <= hi
+        assert lo * hi == pytest.approx(g.det, rel=1e-12)
+        assert lo + hi == pytest.approx(g00 + g11, rel=1e-12)
 
 
 class TestMahalanobis:
