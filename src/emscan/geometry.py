@@ -237,7 +237,7 @@ class PrecisionMatrix:
         if spread == 0.0:
             return (mean, mean)
         larger = mean + spread
-        return (self.det / larger, larger)
+        return (min(self.det / larger, larger), larger)     # det / larger may round above
 
     def max_noise_sigma(self) -> float:
         """Largest per-axis noise std implied by this precision."""

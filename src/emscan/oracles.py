@@ -4,10 +4,11 @@ registration.
 ``brute_force_neighbors`` scans every point and ``dense_em_register`` runs
 registration on dense (n, m) matrices: an all-pairs gate, responsibilities,
 fit and covariance of its own, sharing only the EM loop with ``register``.
-Neither touches the grid index, so agreement with the fast path is
-meaningful evidence.  Expect O(n^2) cost or worse; they ship with the
-library because the command line exposes the dense registration through
-``--oracle`` for debugging in the field.
+For anisotropic noise the fit is Newton's method with exact derivatives in
+``(tx, ty, theta)``, not the fast path's rotation solve.  Neither touches the
+grid index, so agreement with the fast path is meaningful evidence.  Expect
+O(n^2) cost or worse; they ship with the library because the command line
+exposes the dense registration through ``--oracle`` for debugging in the field.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .geometry import Pose, _as_xy, _within_radius, as_point_array, mahalanobis_
 from .graph import MatchGraph
 
 __all__ = ["brute_force_neighbors", "dense_em_register"]
+
+_MAX_NEWTON_STEPS = 100
 
 
 def brute_force_neighbors(points, q, w: float) -> np.ndarray:
@@ -108,8 +111,7 @@ def _dense_fit(graph, gamma):
                 theta)
     if not gamma.is_isotropic:
         rows, cols = np.nonzero(weights > 0.0)
-        pose = _descend(scan[rows], model[cols], weights[rows, cols],
-                        gamma, pose.to_array(), grad_tol=1e-9, max_steps=200)
+        pose = _descend(scan[rows], model[cols], weights[rows, cols], gamma, pose.to_array())
     return pose
 
 
@@ -142,37 +144,6 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
                    _dense_gate, _dense_e_step, _dense_fit, _dense_covariance)
 
 
-def _fd_gradient(fun, y, h=1e-6) -> np.ndarray:
-    grad = np.zeros(3)
-    for i in range(3):
-        up, dn = y.copy(), y.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (fun(up) - fun(dn)) / (2.0 * h)
-    return grad
-
-
-def _fd_hessian(fun, y, h=1e-4) -> np.ndarray:
-    hess = np.zeros((3, 3))
-    f0 = fun(y)
-    for i in range(3):
-        up, dn = y.copy(), y.copy()
-        up[i] += h
-        dn[i] -= h
-        hess[i, i] = (fun(up) - 2.0 * f0 + fun(dn)) / (h * h)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pp, pm, mp, mm = y.copy(), y.copy(), y.copy(), y.copy()
-            pp[[i, j]] += h
-            mm[[i, j]] -= h
-            pm[i] += h
-            pm[j] -= h
-            mp[i] -= h
-            mp[j] += h
-            hess[i, j] = hess[j, i] = (fun(pp) - fun(pm) - fun(mp) + fun(mm)) / (4.0 * h * h)
-    return hess
-
-
 def _fit_objective(scan_e, model_e, w, gamma, y) -> float:
     """The weighted fit objective at pose components ``y = (tx, ty, theta)``."""
     c, s = math.cos(y[2]), math.sin(y[2])
@@ -181,30 +152,57 @@ def _fit_objective(scan_e, model_e, w, gamma, y) -> float:
     return float(w @ mahalanobis_sq(residual, gamma))
 
 
-def _descend(scan_e, model_e, w, gamma, y0, *, grad_tol=1e-8, max_steps=60):
-    """Finite-difference Newton descent on the weighted fit objective."""
-    fun = functools.partial(_fit_objective, scan_e, model_e, w, gamma)
-    y = np.asarray(y0, dtype=float).copy()
-    value = fun(y)
-    for _ in range(max_steps):
-        grad = _fd_gradient(fun, y)
-        if np.linalg.norm(grad) < grad_tol:
-            break
-        hess = _fd_hessian(fun, y)
+def _fit_derivatives(scan_e, model_e, w, g, y):
+    """Value, its rounding error, gradient and Hessian of ``sum_e w_e r_e^T g
+    r_e`` with ``r_e = s_e - R m_e - t``, at ``y = (tx, ty, theta)``.
+
+    With ``J_e = [I, R' m_e]`` and ``R'' = -R``, the gradient is ``-2 sum_e w_e
+    J_e^T g r_e`` and the Hessian ``2 sum_e w_e (J_e^T g J_e + r_e^T g R m_e)``,
+    the second term in the (theta, theta) entry only.
+    """
+    c, s = math.cos(y[2]), math.sin(y[2])
+    rm = model_e @ np.array([[c, s], [-s, c]])
+    drm = np.column_stack((-rm[:, 1], rm[:, 0]))
+    residual = scan_e - rm - y[:2]
+    gr, gd = residual @ g, drm @ g
+    value = float(w @ (residual * gr).sum(axis=1))
+    # residual entries err by about eps (|s| + |R m| + |t|), the value by that times 2 |g r|
+    spans = np.abs(scan_e) + np.abs(rm) + np.abs(y[:2])
+    slack = 8.0 * np.finfo(float).eps * (value + float(w @ (np.abs(gr) * spans).sum(axis=1)))
+    grad = -2.0 * np.append(w @ gr, w @ (drm * gr).sum(axis=1))
+    hess = np.empty((3, 3))
+    hess[:2, :2] = 2.0 * w.sum() * g
+    hess[:2, 2] = hess[2, :2] = 2.0 * (w @ gd)
+    hess[2, 2] = 2.0 * (w @ ((drm * gd).sum(axis=1) + (rm * gr).sum(axis=1)))
+    return value, slack, grad, hess
+
+
+def _descend(scan_e, model_e, w, gamma, y0) -> Pose:
+    """Newton descent with exact derivatives on the weighted fit objective.
+
+    Works on Gamma scaled by the power of two that puts its largest entry in
+    [0.5, 1): no step depends on that scale, and the objective cannot
+    overflow.  A step is Newton's where the Hessian is positive definite and
+    minus the gradient elsewhere, halved while it raises the objective by more
+    than its rounding error.  Stops after the first step that does not lower
+    the objective, as a step too small to move the pose never does.
+    """
+    g = np.ldexp(gamma.as_matrix(), -math.frexp(max(gamma.g00, gamma.g11))[1])
+    derivatives = functools.partial(_fit_derivatives, scan_e, model_e, w, g)
+    y = np.asarray(y0, dtype=float)
+    value, slack, grad, hess = derivatives(y)
+    for _ in range(_MAX_NEWTON_STEPS):
         try:
+            np.linalg.cholesky(hess)
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = -grad
-        alpha = 1.0
-        improved = False
-        while alpha > 1e-10:
-            trial = y + alpha * step
-            trial_value = fun(trial)
-            if trial_value < value:
-                y, value = trial, trial_value
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
+        if not np.isfinite(step).all():
             break
+        while not (found := derivatives(y + step))[0] <= value + slack:
+            step = 0.5 * step
+        y = y + step
+        if not found[0] < value:
+            break
+        value, slack, grad, hess = found
     return Pose.from_array(y)

@@ -2,7 +2,7 @@
 
 Each recomputes one library answer from first principles and shares none
 of its algebra: an edge-by-edge residual covariance, and a pose fit by grid
-search plus finite-difference descent on the weighted fit objective.
+search plus exact-derivative Newton descent on the weighted fit objective.
 """
 
 import math
@@ -33,9 +33,9 @@ def numerical_m_step(graph: MatchGraph, gamma, *, angle_samples: int = 72) -> Po
 
     Scans ``angle_samples`` rotations; for each one the translation is
     centered on the weighted-centroid offset and jittered over a small
-    grid, and the best cell seeds a finite-difference Newton refinement.
-    Matches ``m_step`` to about 1e-5 in pose on sane instances while
-    sharing none of its algebra.
+    grid, and the best cell seeds an exact-derivative Newton refinement in
+    ``(tx, ty, theta)``.  Matches ``m_step`` to about 1e-5 in pose on sane
+    instances while sharing none of its algebra.
     """
     w = graph.posterior
     if graph.edge_count == 0 or not np.any(w > 0.0):

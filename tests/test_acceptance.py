@@ -112,7 +112,7 @@ def test_em_monotonicity():
 
 
 def test_m_step_optimality():
-    """Closed-form fit equals the derivative-free minimizer within 1e-5 in
+    """Closed-form fit equals the grid-search minimizer within 1e-5 in
     pose and 1e-10 in objective; finite-difference gradient below 1e-6.
     200 random weighted instances, under 60 s."""
     rng = np.random.default_rng(303)

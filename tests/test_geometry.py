@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emscan import (
     Point,
@@ -186,6 +186,7 @@ class TestPrecisionMatrix:
     @settings(deadline=None, max_examples=300)
     @given(log_g00=st.floats(-150.0, 150.0), log_g11=st.floats(-150.0, 150.0),
            corr=st.floats(-0.999, 0.999))
+    @example(log_g00=-1.0, log_g11=-1.0, corr=1.4e-45)
     def test_eigenvalues_keep_det_and_trace(self, log_g00, log_g11, corr):
         # eigenvalue ratios up to 1e300, where mean - spread cancels
         g00, g11 = 10.0 ** log_g00, 10.0 ** log_g11

@@ -128,6 +128,21 @@ class TestDenseEmRegister:
         slow = dense_em_register(scan, model, identity, cfg)
         assert_pose_close(fast.pose, slow.pose, atol=1e-7)
 
+    def test_matches_fast_path_near_the_float_maximum(self):
+        # unscaled, the fit's products of Gamma with the residuals overflow
+        truth = Pose(0.15, -0.1, math.radians(4.0))
+        model, scan, _ = make_scene("l-shape", 200, truth, noise_sigma=0.01, seed=13)
+        cfg = EmConfig(gamma=PrecisionMatrix(1.7e308, 0.0, 1e-10), window_w=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fast = register(scan, model, identity, cfg)
+            slow = dense_em_register(scan, model, identity, cfg)
+        assert fast.iterations == slow.iterations == 50
+        assert not fast.converged and not slow.converged
+        # Gamma leaves ty unconstrained
+        assert abs(fast.pose.tx - slow.pose.tx) < 1e-12
+        assert abs(math.remainder(fast.pose.theta - slow.pose.theta, 2.0 * math.pi)) < 1e-12
+
     def test_all_beyond_window(self):
         cfg = EmConfig.isotropic(0.1, window_w=1.0)
         with pytest.raises(NoCorrespondences):
@@ -168,5 +183,5 @@ def test_dense_matches_fast_path_in_every_mode(regate, anisotropic):
         assert fast.iterations == slow.iterations
         assert fast.converged == slow.converged
         assert fast.n_inliers == slow.n_inliers
-        assert_pose_close(fast.pose, slow.pose, atol=1e-8)
+        assert_pose_close(fast.pose, slow.pose, atol=1e-12)
         np.testing.assert_allclose(fast.loglik_trace, slow.loglik_trace, rtol=1e-7, atol=1e-7)
