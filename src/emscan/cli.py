@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(reg, "--oracle", action="store_true",
             help="use the dense all-pairs reference implementation")
     _option(reg, "--regate", action="store_true",
-            help="rebuild the gate at the current pose every sweep")
+            help="regate at each fixed point of EM on a gate")
     _option(reg, "--degrees", action="store_true", help="read and print angles in degrees")
     _option(reg, "--dump-graph", metavar="PATH",
             help="write 'j k prior posterior' edge lines to PATH")

@@ -1,8 +1,8 @@
 """Expectation-maximization registration of a scan to a model point set.
 
 One registration call gates candidate correspondences at the initial pose
-(and at every later pose when regating), then alternates two steps until
-the marginal log-likelihood stops improving:
+(and, when regating, again at each fixed point of EM on a gate), then
+alternates two steps until the marginal log-likelihood stops improving:
 
 * E-step: per-edge responsibilities, the posterior probability that a scan
   point measures a given gated model point under the current pose.
@@ -64,17 +64,11 @@ class EmConfig:
 
     ``window_w`` of None selects the default gate radius of three times the
     largest noise std implied by ``gamma`` (3 sigma tail mass is
-    negligible).  ``regate_each_iteration`` rebuilds the gate at the
-    current pose every sweep instead of holding the initial gate fixed; it
-    is off by default.  ``register`` and ``oracles.dense_em_register`` read
-    these settings in one shared loop, whose sweep is: gate (at ``pose0``,
-    then every sweep when regating), E-step, stopping test, M-step.
-
-    Known limitation: with ``regate_each_iteration`` each trace entry is
-    the log-likelihood at a pose on the gate built at that pose, so
-    consecutive entries come from different gates.  The trace need not be
-    monotone, and a change of gate can still end a run early with
-    ``converged=True`` and a pose short of the optimum.
+    negligible).  ``regate_each_iteration`` regates at each fixed point:
+    once EM on a gate stops gaining, the gate is rebuilt at that pose, and
+    the run converges only when the rebuilt gate has the same edges; it is
+    off by default, holding the initial gate fixed.  ``register`` and
+    ``oracles.dense_em_register`` read these settings in one shared loop.
     """
 
     gamma: PrecisionMatrix
@@ -113,11 +107,15 @@ class RegistrationResult:
     """Outcome of one registration call.
 
     ``loglik_trace`` starts at the initial pose's log-likelihood and gains
-    one entry per sweep; in the default configuration it is non-decreasing
-    up to float noise.  ``converged=False`` is a valid outcome, not an
-    error: it means the iteration budget ran out first.  ``graph`` is the
-    match graph the final E-step ran on; its posterior is at ``pose``, and
-    under regating it is the gate built at ``pose``.
+    one entry per M-step (``iterations`` counts them), the log-likelihood
+    at the pose held after it on the gate then in force.  It is one
+    non-decreasing segment per gate, up to float noise: a single segment
+    in the default configuration.  ``converged=False`` is a valid outcome,
+    not an error: the iteration budget ran out first, or the log-likelihood
+    fell on a fixed gate by more than its rounding error (logged as a
+    warning).  ``graph`` is the match graph the final E-step ran on; its
+    posterior is at ``pose``, and after a converged regating run it is the
+    gate built at ``pose``.
     """
 
     pose: Pose
@@ -285,14 +283,14 @@ def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]
 def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
     """Align ``scan`` to ``model`` starting from ``pose0``.
 
-    Gates at ``pose0``, then sweeps: E-step at the current pose (which
-    also yields the log-likelihood there), stopping test, M-step.  With
-    regating, each sweep first rebuilds the gate at the current pose.
-    Stops when the log-likelihood gain of one sweep falls below
-    ``config.convergence_epsilon`` or the iteration budget is exhausted.
-    Per-sweep cost is O(E).  ``oracles.dense_em_register`` runs the same
-    loop over its own dense steps.  Regating has the known limitation
-    stated on ``EmConfig``.
+    Gates at ``pose0`` and takes the E-step there (which also yields the
+    log-likelihood), then sweeps: M-step, E-step at the new pose.  Stops
+    when the log-likelihood gain of one sweep falls below
+    ``config.convergence_epsilon`` or the iteration budget is exhausted;
+    with regating, a gain below it instead rebuilds the gate at that pose,
+    and the run stops only once the gate no longer changes.  Per-sweep
+    cost is O(E).  ``oracles.dense_em_register`` runs the same loop over
+    its own dense steps.
 
     Raises EmptyInput for empty point sets, NoCorrespondences when the
     gate leaves no candidate pairs, and DegenerateRow when the
@@ -310,45 +308,124 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
 
 def _run_em(scan, model, pose0: Pose, config: EmConfig,
             gate, e_step, m_step, covariance) -> RegistrationResult:
-    """The EM loop, over steps with the signatures of ``build_graph``,
+    """The EM loop over gates, on steps with the signatures of ``build_graph``,
     ``e_step``, ``m_step`` and ``residual_covariance``.
 
-    Each sweep gates (at ``pose0`` first, then at every pose when
-    regating), runs one E-step, whose log-likelihood is appended to the
-    trace and compared with the one before it, and, unless that stops the
-    run, one M-step.  ``iterations`` counts M-steps.  Under regating the
-    trace has the known limitation stated on ``EmConfig``.
+    On each gate, EM maps (an M-step, then the E-step at its pose) run until
+    one gains less than ``convergence_epsilon``.  Without regating that ends
+    the run.  With it, the gate is rebuilt at that pose, and the run ends
+    only once the rebuilt gate has the same edges; on each gate, every two
+    maps are followed by one SQUAREM extrapolation, kept only when it scores
+    no lower.  ``iterations`` counts M-steps; the trace holds the initial
+    log-likelihood, then the one at the pose held after each M-step, on the
+    gate in force at that M-step.
     """
     window = config.resolved_window()
-    pose, gamma = pose0, config.gamma
-    graph = None
-    trace: list[float] = []
+    gamma, regate = config.gamma, config.regate_each_iteration
+    pose = pose0
+    graph = _gate(gate, scan, model, pose, window)
+    loglik = e_step(graph, pose, gamma)     # at ``pose``, on ``graph``
+    trace = [loglik]
+    cycle = [pose]                          # the poses since the last extrapolation
     converged = False
-    while True:
-        if graph is None or config.regate_each_iteration:
-            graph = gate(scan, model, pose, window)
-            if graph.edge_count == 0:
-                raise NoCorrespondences(
-                    f"no scan point is within {window} m of the model at {pose}"
-                )
-        loglik = e_step(graph, pose, gamma)
-        trace.append(loglik)
-        sweeps = len(trace) - 1
-        if sweeps and loglik - trace[-2] < config.convergence_epsilon:
-            converged = True
-            break
-        if sweeps == config.max_iterations:
-            break
+    while len(trace) <= config.max_iterations:
         pose = m_step(graph, gamma)
+        before, loglik = loglik, e_step(graph, pose, gamma)
+        trace.append(loglik)
+        if loglik - before < config.convergence_epsilon:
+            # EM cannot lower the log-likelihood on a fixed gate, so a drop
+            # beyond the rounding error of the two values is a numerical fault.
+            if loglik < before and before - loglik > 2.0 * _loglik_rounding(graph, pose, gamma):
+                logger.warning("log-likelihood fell from %r to %r on a fixed gate; "
+                               "stopping unconverged", before, loglik)
+                break
+            if not regate:
+                converged = True
+                break
+            fresh = _gate(gate, scan, model, pose, window)
+            if (np.array_equal(fresh.scan_idx, graph.scan_idx)
+                    and np.array_equal(fresh.model_idx, graph.model_idx)):
+                converged = True
+                break
+            graph, cycle = fresh, [pose]
+            loglik = e_step(graph, pose, gamma)
+            continue
+        if not regate:
+            # Plain EM: where the precision leaves a direction unconstrained,
+            # extrapolating amplifies rounding enough to split the fast path
+            # from the dense reference.
+            continue
+        cycle.append(pose)
+        if len(cycle) < 3 or len(trace) > config.max_iterations:
+            continue
+        trial, cycle = _squarem(*cycle), [pose]
+        if trial is None:
+            continue
+        kept = graph.posterior.copy()
+        try:
+            trial_loglik = e_step(graph, trial, gamma)
+        except DegenerateRow:
+            trial_loglik = -math.inf
+        if trial_loglik >= loglik:
+            pose, loglik, trace[-1], cycle = trial, trial_loglik, trial_loglik, [trial]
+        else:
+            graph.posterior[:] = kept
 
-    # The last E-step ran at the returned pose, so the covariance matches it.
+    # The last E-step kept ran at the returned pose, so the covariance matches it.
     cov, n_p = covariance(graph, pose)
     return RegistrationResult(
         pose=pose,
         residual_covariance=cov,
-        iterations=sweeps,
+        iterations=len(trace) - 1,
         loglik_trace=np.asarray(trace),
         n_inliers=n_p,
         converged=converged,
         graph=graph,
     )
+
+
+def _gate(gate, scan, model, pose: Pose, window: float) -> MatchGraph:
+    graph = gate(scan, model, pose, window)
+    if graph.edge_count == 0:
+        raise NoCorrespondences(f"no scan point is within {window} m of the model at {pose}")
+    return graph
+
+
+def _squarem(p0: Pose, p1: Pose, p2: Pose) -> Pose | None:
+    """SQUAREM's extrapolation from two EM maps ``p0 -> p1 -> p2`` (Varadhan
+    & Roland, Scand. J. Statist. 2008): ``p0 - 2 alpha r + alpha^2 v`` with
+    ``r = p1 - p0``, ``v = p2 - 2 p1 + p0`` and ``alpha = min(-|r| / |v|, -1)``;
+    ``alpha = -1`` gives back ``p2``.  Angle differences are wrapped.  None
+    when ``v`` vanishes or the step overflows."""
+    a0, a1, a2 = p0.to_array(), p1.to_array(), p2.to_array()
+    r, v = a1 - a0, a2 - a1
+    r[2], v[2] = math.remainder(r[2], math.tau), math.remainder(v[2], math.tau)
+    v -= r
+    norm_v = math.hypot(*v)
+    if norm_v == 0.0:
+        return None
+    alpha = min(-math.hypot(*r) / norm_v, -1.0)
+    y = a0 - 2.0 * alpha * r + alpha * alpha * v
+    return Pose.from_array(y) if np.isfinite(y).all() else None
+
+
+def _loglik_rounding(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
+    """Bound on the rounding error of ``e_step``'s log-likelihood at ``pose``.
+
+    A row's term is ``log sum_k exp(x_k)``, so errors in its exponents
+    ``x = log prior - r^T Gamma r / 2`` move it by their posterior mean.  An
+    exponent errs by a few ulps of its own size, plus ``|Gamma r|`` times the
+    error of ``r = s - R m - t``, which is a few ulps of ``|s| + |m| + |t|``:
+    that cancellation dominates near the optimum for points far from the
+    origin.  The log, exp and the sums add a few ulps of the row terms,
+    which the exponents' sizes bound.  16 ulps covers these with room.
+    """
+    residual = graph.scan_e - pose.apply(graph.model_e)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow forgives every drop
+        g_r = residual @ gamma.as_matrix()
+        span = (np.abs(graph.scan_e).sum(axis=1) + np.abs(graph.model_e).sum(axis=1)
+                + abs(pose.tx) + abs(pose.ty))
+        size = (-np.log(graph.prior) + 0.5 * (residual * g_r).sum(axis=1)
+                + np.abs(g_r).sum(axis=1) * span)
+        bound = 16.0 * np.finfo(float).eps * float(graph.posterior @ size)
+    return bound if math.isfinite(bound) else math.inf

@@ -135,10 +135,7 @@ def dense_em_register(scan, model, pose0: Pose, config: EmConfig) -> Registratio
     dense (n, m) matrices.  Both paths run one EM loop, which owns
     regating, the trace and the stopping rule, so the contract matches
     ``register`` exactly, including error behavior and the meaning of
-    regating, with the known limitation stated on ``EmConfig``.
-
-    Each sweep gates (at ``pose0``, then at every pose when regating),
-    runs one E-step, the stopping test and one M-step.
+    regating.
     """
     return _run_em(as_point_array(scan), as_point_array(model), pose0, config,
                    _dense_gate, _dense_e_step, _dense_fit, _dense_covariance)

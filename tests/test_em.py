@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import emscan.em
 from emscan import (
     DegenerateGeometry,
     DegenerateRow,
@@ -526,3 +527,76 @@ class TestEmConfig:
                                     convergence_epsilon=1e-300)
         result = register(scan, model, identity, config)
         assert result.iterations == 3 and not result.converged
+
+
+class TestFixedPointRegating:
+    """Regating runs EM to a fixed point on each gate, then rebuilds the gate
+    there, and converges only once the rebuilt gate has the same edges."""
+
+    def test_narrow_window_scene_reaches_the_truth(self):
+        # Stopping on a log-likelihood difference taken across two gates
+        # ended this run after 1 sweep, 158 mm off the truth.
+        truth = Pose(0.15, -0.1, math.radians(4.0))
+        model, scan, _ = make_scene("l-shape", 200, truth, noise_sigma=0.01, seed=13)
+        res = register(scan, model, identity,
+                       EmConfig.isotropic(0.02, window_w=0.1, regate_each_iteration=True))
+        assert res.converged
+        assert math.hypot(res.pose.tx - truth.tx, res.pose.ty - truth.ty) < 0.02
+        assert abs(wrap_angle(res.pose.theta - truth.theta)) < math.radians(1.0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(shape=st.sampled_from(SHAPES), anisotropic=st.booleans(),
+           window=st.floats(0.1, 0.5), seed=st.integers(0, 2**16))
+    def test_converged_run_ends_on_the_gate_at_its_pose(self, shape, anisotropic,
+                                                         window, seed):
+        rng = np.random.default_rng(seed)
+        model, scan, _ = make_scene(shape, 60, random_pose(rng, 0.15, 0.08),
+                                    noise_sigma=0.02, outlier_fraction=0.05, seed=seed)
+        gamma = PrecisionMatrix(2500.0, 375.0, 625.0) if anisotropic \
+            else PrecisionMatrix.isotropic(0.02)
+        try:
+            res = register(scan, model, identity,
+                           EmConfig(gamma=gamma, window_w=window, regate_each_iteration=True))
+        except NoCorrespondences:
+            return      # a gate found nothing
+        assert len(res.loglik_trace) == res.iterations + 1
+        assume(res.converged)
+        assert build_graph(scan, model, res.pose, window).edge_set() == res.graph.edge_set()
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
+    def test_budget_ends_inside_an_extrapolation_cycle(self, budget):
+        # Each cycle is two M-steps and one extrapolation; budgets 1, 3 and 5
+        # end after its first M-step, 2 and 4 before its extrapolation.
+        model, scan, _ = make_scene("l-shape", 200, Pose(0.15, -0.1, math.radians(4.0)),
+                                    noise_sigma=0.01, seed=13)
+        cfg = EmConfig.isotropic(0.02, window_w=0.1, regate_each_iteration=True,
+                                 max_iterations=budget, convergence_epsilon=1e-30)
+        res = register(scan, model, identity, cfg)
+        assert res.iterations == budget
+        assert not res.converged
+        assert len(res.loglik_trace) == budget + 1
+        # the returned graph's posterior is at the returned pose
+        posterior = res.graph.posterior.copy()
+        e_step(res.graph, res.pose, cfg.gamma)
+        np.testing.assert_array_equal(res.graph.posterior, posterior)
+
+    @pytest.mark.parametrize("regate", [False, True], ids=["gated-once", "regate"])
+    def test_a_drop_on_a_fixed_gate_is_not_convergence(self, regate, monkeypatch, caplog):
+        # An M-step that moves away from the optimum can only be a fault.
+        calls = []
+
+        def faulty_m_step(graph, gamma):
+            calls.append(None)
+            pose = m_step(graph, gamma)
+            return Pose(pose.tx + 0.05, pose.ty, pose.theta) if len(calls) == 3 else pose
+
+        monkeypatch.setattr(emscan.em, "m_step", faulty_m_step)
+        truth = Pose(0.05, -0.03, 0.02)
+        model, scan, _ = make_scene("rectangle", 150, truth, noise_sigma=0.02, seed=5)
+        cfg = EmConfig.isotropic(0.02, window_w=1.0, regate_each_iteration=regate)
+        with caplog.at_level("WARNING", logger="emscan.em"):
+            res = register(scan, model, identity, cfg)
+        assert not res.converged
+        assert res.iterations == 3
+        assert res.loglik_trace[-1] < res.loglik_trace[-2]
+        assert "fell" in caplog.text
