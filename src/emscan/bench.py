@@ -3,7 +3,8 @@
 Scenes keep the number of points per square meter constant while the area
 grows, so gated neighborhoods stay bounded and the per-call cost should
 grow linearly.  Times come from a monotonic clock and are divided by the
-sweep count to separate the per-sweep cost from iteration-count variance.
+sweep count to separate the per-sweep cost from iteration-count variance;
+a sweep's share includes the E-steps that score SQUAREM's trial poses.
 """
 
 from __future__ import annotations

@@ -56,6 +56,9 @@ _NEWTON_MAX_STEPS = 16
 _MAX_TURN = math.pi / 8
 #: Rounding error of the rotation objective's normalized slope.
 _SLOPE_ROUNDING = 8.0 * np.finfo(float).eps
+#: Smallest eigenvalue ratio of Gamma at which EM is extrapolated: below sqrt(eps)
+#: a pose direction lies under the objective's rounding, which extrapolating amplifies.
+_MIN_CONDITIONING = 2.0 ** -26
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,9 @@ class EmConfig:
     negligible).  ``regate_each_iteration`` regates at each fixed point:
     once EM on a gate stops gaining, the gate is rebuilt at that pose, and
     the run converges only when the rebuilt gate has the same edges; it is
-    off by default, holding the initial gate fixed.  ``register`` and
+    off by default, holding the initial gate fixed.  It decides nothing
+    else: in both modes EM on a gate is accelerated by SQUAREM unless
+    ``gamma`` is nearly singular.  ``register`` and
     ``oracles.dense_em_register`` read these settings in one shared loop.
     """
 
@@ -108,7 +113,8 @@ class RegistrationResult:
 
     ``loglik_trace`` starts at the initial pose's log-likelihood and gains
     one entry per M-step (``iterations`` counts them), the log-likelihood
-    at the pose held after it on the gate then in force.  It is one
+    at the pose held after it on the gate then in force: after an accepted
+    SQUAREM extrapolation, the one at the extrapolated pose.  It is one
     non-decreasing segment per gate, up to float noise: a single segment
     in the default configuration.  ``converged=False`` is a valid outcome,
     not an error: the iteration budget ran out first, or the log-likelihood
@@ -185,6 +191,8 @@ def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
     ``f(theta) = tr(Gamma R B R^T) - 2 tr(Gamma R A)``.  For isotropic
     ``gamma`` the first term is constant and ``atan2(A01 - A10, A00 + A11)``
     is exact; otherwise it seeds ``_anisotropic_theta``, which reads no edge.
+    Raises DegenerateGeometry when the total weight is too small or the
+    moments overflow.
     """
     w = graph.posterior
     if graph.edge_count == 0 or not np.any(w > 0.0):
@@ -192,14 +200,20 @@ def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
     total = float(w.sum())
     if total < _MIN_TOTAL_WEIGHT:
         raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
-    c_s = w @ graph.scan_e / total
-    c_m = w @ graph.model_e / total
-    mt = graph.model_e - c_m
-    wm = (mt * w[:, None]).T
-    h = wm @ (graph.scan_e - c_s)
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
+        c_s = w @ graph.scan_e / total
+        c_m = w @ graph.model_e / total
+        mt = graph.model_e - c_m
+        wm = (mt * w[:, None]).T
+        h = wm @ (graph.scan_e - c_s)
+        moments = (h,) if gamma.is_isotropic else (h, wm @ mt)
+        # no value formed from the moments below exceeds this in size
+        size = 2.0 * sum(float(np.abs(m).sum()) for m in moments)
+    if not math.isfinite(size):
+        raise DegenerateGeometry("the weighted moments of the pairs overflow")
     theta = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
     if not gamma.is_isotropic:
-        theta = _anisotropic_theta(gamma, h, wm @ mt, theta)
+        theta = _anisotropic_theta(gamma, *moments, theta)
     c, s = math.cos(theta), math.sin(theta)
     return Pose(c_s[0] - (c * c_m[0] - s * c_m[1]),
                 c_s[1] - (s * c_m[0] + c * c_m[1]),
@@ -288,14 +302,15 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
     when the log-likelihood gain of one sweep falls below
     ``config.convergence_epsilon`` or the iteration budget is exhausted;
     with regating, a gain below it instead rebuilds the gate at that pose,
-    and the run stops only once the gate no longer changes.  Per-sweep
-    cost is O(E).  ``oracles.dense_em_register`` runs the same loop over
-    its own dense steps.
+    and the run stops only once the gate no longer changes.  SQUAREM
+    extrapolates every two sweeps unless ``config.gamma`` is nearly
+    singular.  Per-sweep cost is O(E).  ``oracles.dense_em_register`` runs
+    the same loop over its own dense steps.
 
     Raises EmptyInput for empty point sets, NoCorrespondences when the
-    gate leaves no candidate pairs, and DegenerateRow when the
-    log-likelihood overflows.  Running out of iterations is reported
-    via ``converged=False``, not an error.
+    gate leaves no candidate pairs, DegenerateRow when the log-likelihood
+    overflows and DegenerateGeometry when the fit's moments do.  Running
+    out of iterations is reported via ``converged=False``, not an error.
 
     Reentrant: no shared state, so registrations of different targets may
     run concurrently on separate graphs.
@@ -314,14 +329,17 @@ def _run_em(scan, model, pose0: Pose, config: EmConfig,
     On each gate, EM maps (an M-step, then the E-step at its pose) run until
     one gains less than ``convergence_epsilon``.  Without regating that ends
     the run.  With it, the gate is rebuilt at that pose, and the run ends
-    only once the rebuilt gate has the same edges; on each gate, every two
-    maps are followed by one SQUAREM extrapolation, kept only when it scores
-    no lower.  ``iterations`` counts M-steps; the trace holds the initial
-    log-likelihood, then the one at the pose held after each M-step, on the
-    gate in force at that M-step.
+    only once the rebuilt gate has the same edges.  In both modes, every two
+    maps on a gate are followed by one SQUAREM extrapolation, kept only when
+    it scores no lower, unless Gamma's eigenvalue ratio is below
+    ``_MIN_CONDITIONING``.  ``iterations`` counts M-steps; the trace holds
+    the initial log-likelihood, then the one at the pose held after each
+    M-step, on the gate in force at that M-step.
     """
     window = config.resolved_window()
     gamma, regate = config.gamma, config.regate_each_iteration
+    lo, hi = gamma.eigenvalues()
+    extrapolate = lo >= _MIN_CONDITIONING * hi
     pose = pose0
     graph = _gate(gate, scan, model, pose, window)
     loglik = e_step(graph, pose, gamma)     # at ``pose``, on ``graph``
@@ -350,10 +368,7 @@ def _run_em(scan, model, pose0: Pose, config: EmConfig,
             graph, cycle = fresh, [pose]
             loglik = e_step(graph, pose, gamma)
             continue
-        if not regate:
-            # Plain EM: where the precision leaves a direction unconstrained,
-            # extrapolating amplifies rounding enough to split the fast path
-            # from the dense reference.
+        if not extrapolate:
             continue
         cycle.append(pose)
         if len(cycle) < 3 or len(trace) > config.max_iterations:

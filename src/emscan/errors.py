@@ -21,7 +21,8 @@ class NoCorrespondences(ScanMatchError):
 
 
 class DegenerateGeometry(ScanMatchError):
-    """Total correspondence weight is too small to determine a pose."""
+    """The fit cannot determine a pose: the total correspondence weight is
+    too small, or the weighted moments of the pairs overflow."""
 
 
 class NoInliers(ScanMatchError):

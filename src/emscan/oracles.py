@@ -97,13 +97,19 @@ def _dense_fit(graph, gamma):
         raise NoCorrespondences("all responsibilities are zero")
     if total < 1e-12:
         raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
-    row_w = weights.sum(axis=1)
-    col_w = weights.sum(axis=0)
-    c_s = row_w @ scan / total
-    c_m = col_w @ model / total
-    st = scan - c_s
-    mt = model - c_m
-    h = mt.T @ weights.T @ st
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
+        row_w = weights.sum(axis=1)
+        col_w = weights.sum(axis=0)
+        c_s = row_w @ scan / total
+        c_m = col_w @ model / total
+        st = scan - c_s
+        mt = model - c_m
+        h = mt.T @ weights.T @ st
+        moments = (h,) if gamma.is_isotropic else (h, mt.T @ (col_w[:, None] * mt))
+        # the fast path's refusal, so both refuse the same scenes
+        size = 2.0 * sum(float(np.abs(m).sum()) for m in moments)
+    if not math.isfinite(size):
+        raise DegenerateGeometry("the weighted moments of the pairs overflow")
     theta = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
     c, s = math.cos(theta), math.sin(theta)
     pose = Pose(c_s[0] - (c * c_m[0] - s * c_m[1]),

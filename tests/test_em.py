@@ -563,13 +563,16 @@ class TestFixedPointRegating:
         assume(res.converged)
         assert build_graph(scan, model, res.pose, window).edge_set() == res.graph.edge_set()
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
-    def test_budget_ends_inside_an_extrapolation_cycle(self, budget):
-        # Each cycle is two M-steps and one extrapolation; budgets 1, 3 and 5
-        # end after its first M-step, 2 and 4 before its extrapolation.
+    @pytest.mark.parametrize(
+        "regate, budget", [(True, b) for b in range(1, 6)] + [(False, b) for b in range(1, 6)],
+        ids=[str(b) for b in range(1, 6)] + [f"gated-once-{b}" for b in range(1, 6)])
+    def test_budget_ends_inside_an_extrapolation_cycle(self, regate, budget):
+        # Each cycle is two M-steps and one extrapolation, with or without
+        # regating; budgets 1, 3 and 5 end after its first M-step, 2 and 4
+        # before its extrapolation.
         model, scan, _ = make_scene("l-shape", 200, Pose(0.15, -0.1, math.radians(4.0)),
                                     noise_sigma=0.01, seed=13)
-        cfg = EmConfig.isotropic(0.02, window_w=0.1, regate_each_iteration=True,
+        cfg = EmConfig.isotropic(0.02, window_w=0.1, regate_each_iteration=regate,
                                  max_iterations=budget, convergence_epsilon=1e-30)
         res = register(scan, model, identity, cfg)
         assert res.iterations == budget

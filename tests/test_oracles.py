@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from emscan import (
+    DegenerateGeometry,
     EmConfig,
     EmptyInput,
     NoCorrespondences,
@@ -128,11 +129,13 @@ class TestDenseEmRegister:
         slow = dense_em_register(scan, model, identity, cfg)
         assert_pose_close(fast.pose, slow.pose, atol=1e-7)
 
-    def test_matches_fast_path_near_the_float_maximum(self):
+    @pytest.mark.parametrize("regate", [False, True], ids=["gated-once", "regate"])
+    def test_matches_fast_path_near_the_float_maximum(self, regate):
         # unscaled, the fit's products of Gamma with the residuals overflow
         truth = Pose(0.15, -0.1, math.radians(4.0))
         model, scan, _ = make_scene("l-shape", 200, truth, noise_sigma=0.01, seed=13)
-        cfg = EmConfig(gamma=PrecisionMatrix(1.7e308, 0.0, 1e-10), window_w=10.0)
+        cfg = EmConfig(gamma=PrecisionMatrix(1.7e308, 0.0, 1e-10), window_w=10.0,
+                       regate_each_iteration=regate)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fast = register(scan, model, identity, cfg)
@@ -142,6 +145,19 @@ class TestDenseEmRegister:
         # Gamma leaves ty unconstrained
         assert abs(fast.pose.tx - slow.pose.tx) < 1e-12
         assert abs(math.remainder(fast.pose.theta - slow.pose.theta, 2.0 * math.pi)) < 1e-12
+
+    @pytest.mark.parametrize("registration", [register, dense_em_register])
+    def test_overflowing_moments_raise_degenerate_geometry(self, registration):
+        # The fit's second moments overflow at a smaller scale than the
+        # E-step's exponents, which stay finite up to about 1.8e154 here.
+        s = 1.2e154
+        model = np.random.default_rng(0).uniform(0.0, 1.0, (20, 2)) * s
+        scan = Pose(0.3 * s, 0.1 * s, 0.1).apply(model)
+        cfg = EmConfig(gamma=PrecisionMatrix(2.0, 0.5, 1.0), window_w=2.4e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateGeometry):
+                registration(scan, model, identity, cfg)
 
     def test_all_beyond_window(self):
         cfg = EmConfig.isotropic(0.1, window_w=1.0)
@@ -185,3 +201,20 @@ def test_dense_matches_fast_path_in_every_mode(regate, anisotropic):
         assert fast.n_inliers == slow.n_inliers
         assert_pose_close(fast.pose, slow.pose, atol=1e-12)
         np.testing.assert_allclose(fast.loglik_trace, slow.loglik_trace, rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("rho", [1e-14, 1e-20])
+@pytest.mark.parametrize("regate", [False, True], ids=["gated-once", "regate"])
+def test_dense_matches_fast_path_on_a_nearly_singular_precision(regate, rho):
+    # Gamma's eigenvalue ratio is about rho / 2, so one pose direction lies
+    # under the objective's rounding; extrapolating would amplify that rounding.
+    model, scan, _ = make_scene("circle", 200, Pose(0.15, -0.1, math.radians(4.0)),
+                                noise_sigma=0.01, seed=3)
+    g = 2500.0
+    gamma = PrecisionMatrix(g, -0.7 * math.sqrt(g) * math.sqrt(g * rho), g * rho)
+    cfg = EmConfig(gamma=gamma, window_w=0.3, regate_each_iteration=regate)
+    fast = register(scan, model, identity, cfg)
+    slow = dense_em_register(scan, model, identity, cfg)
+    assert fast.iterations == slow.iterations
+    assert abs(fast.pose.tx - slow.pose.tx) < 1e-9
+    assert abs(math.remainder(fast.pose.theta - slow.pose.theta, 2.0 * math.pi)) < 1e-9
