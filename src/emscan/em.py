@@ -31,7 +31,7 @@ from .errors import (
     NoCorrespondences,
     NoInliers,
 )
-from .geometry import Pose, PrecisionMatrix, as_point_array, mahalanobis_sq
+from .geometry import Pose, PrecisionMatrix, as_point_array
 from .graph import MatchGraph, build_graph
 
 __all__ = [
@@ -52,6 +52,9 @@ GATE_SIGMA_MULTIPLE = 3.0
 
 _MIN_TOTAL_WEIGHT = 1e-12
 _DEEP_TAIL_LOG = -700.0
+#: The smallest normal float and its log: smaller weights are flushed to 0.
+_TINY = float(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 _NEWTON_MAX_STEPS = 16
 _MAX_TURN = math.pi / 8
 #: Rounding error of the rotation objective's normalized slope.
@@ -133,10 +136,32 @@ class RegistrationResult:
     graph: MatchGraph
 
 
+def _residuals(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """The columns ``rx, ry`` of ``s - pose(m)`` over the edges."""
+    (sx, sy), (mx, my) = graph.scan_e, graph.model_e
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    rx, ry = c * mx, s * mx             # pose(m), then s minus it, in place
+    rx -= s * my
+    ry += c * my
+    rx += pose.tx
+    ry += pose.ty
+    return np.subtract(sx, rx, out=rx), np.subtract(sy, ry, out=ry)
+
+
 def _edge_exponents(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> np.ndarray:
     """log(prior) - ||s - pose(m)||^2_Gamma / 2 for every edge."""
-    residual = graph.scan_e - pose.apply(graph.model_e)
-    return np.log(graph.prior) - 0.5 * mahalanobis_sq(residual, gamma)
+    rx, ry = _residuals(graph, pose)
+    expo = gamma.g00 * rx               # g00 rx rx + 2 g01 rx ry + g11 ry ry, in place
+    expo *= rx
+    rx *= 2.0 * gamma.g01
+    rx *= ry
+    expo += rx
+    np.multiply(gamma.g11, ry, out=rx)
+    rx *= ry
+    expo += rx
+    expo *= -0.5
+    expo += np.log(graph.prior)
+    return expo
 
 
 def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
@@ -147,6 +172,16 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     in log domain with a per-row max shift so rows far from the model stay
     exactly normalized instead of underflowing.  Rows without edges are
     untouched (outliers own no responsibility mass).
+
+    Weights below 2**-1022, the smallest normal float, are written as exact
+    zeros: ``exp`` runs only where an exponent lies at most
+    ``log(2**-1022)`` (about -708.4) below its row's maximum, and a
+    normalized weight that still falls below 2**-1022 is flushed too.
+    Further down, ``exp`` leaves its vectorized path (10-100 times slower
+    per element) and yields subnormals that slow every later multiply by
+    them.  Each nonempty row holds a weight of at least 1 / count, so the
+    flushed mass changes no row sum, no M-step or covariance sum and no
+    log-likelihood.
 
     The return value is the marginal log-likelihood, the sum over nonempty
     rows of ``log sum_k prior_jk * density_jk``, read off the same per-row
@@ -160,14 +195,16 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     counts = graph.neighbor_counts
     nonempty = counts > 0
     starts, counts = graph.row_start[:-1][nonempty], counts[nonempty]
-    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # surface below
         expo = _edge_exponents(graph, pose, gamma)
         row_max = np.maximum.reduceat(expo, starts)
-        shifted = np.exp(expo - np.repeat(row_max, counts))
-        denom = np.add.reduceat(shifted, starts)
+        expo -= np.repeat(row_max, counts)
+        weights = np.zeros_like(expo)
+        np.exp(expo, out=weights, where=expo >= _LOG_TINY)
+        denom = np.add.reduceat(weights, starts)
         loglik = float(np.sum(row_max + np.log(denom)))
-    # The max shift keeps every denom >= 1 and every shifted value in
-    # [0, 1], so a finite log-likelihood implies finite posteriors.
+    # The max shift keeps every denom >= 1 and every weight in [0, 1], so a
+    # finite log-likelihood implies finite posteriors.
     if not math.isfinite(loglik):
         raise DegenerateRow(f"log-likelihood {loglik} is not finite")
 
@@ -178,7 +215,8 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
             "still normalized via max-shift", int(deep.sum()), _DEEP_TAIL_LOG,
         )
 
-    graph.posterior[:] = shifted / np.repeat(denom, counts)
+    weights /= np.repeat(denom, counts)
+    np.multiply(weights, weights >= _TINY, out=graph.posterior)
     return loglik
 
 
@@ -200,13 +238,19 @@ def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
     total = float(w.sum())
     if total < _MIN_TOTAL_WEIGHT:
         raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
+    (sx, sy), (mx, my) = graph.scan_e, graph.model_e
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
-        c_s = w @ graph.scan_e / total
-        c_m = w @ graph.model_e / total
-        mt = graph.model_e - c_m
-        wm = (mt * w[:, None]).T
-        h = wm @ (graph.scan_e - c_s)
-        moments = (h,) if gamma.is_isotropic else (h, wm @ mt)
+        c_s = (float(w @ sx) / total, float(w @ sy) / total)
+        c_m = (float(w @ mx) / total, float(w @ my) / total)
+        mtx, mty = mx - c_m[0], my - c_m[1]
+        stx, sty = sx - c_s[0], sy - c_s[1]
+        wx, wy = w * mtx, w * mty
+        h = np.array([[wx @ stx, wx @ sty], [wy @ stx, wy @ sty]])
+        if gamma.is_isotropic:
+            moments = (h,)
+        else:
+            b01 = wx @ mty
+            moments = (h, np.array([[wx @ mtx, b01], [b01, wy @ mty]]))
         # no value formed from the moments below exceeds this in size
         size = 2.0 * sum(float(np.abs(m).sum()) for m in moments)
     if not math.isfinite(size):
@@ -286,11 +330,11 @@ def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]
     n_p = graph.inlier_count
     if n_p == 0:
         raise NoInliers("every scan point is an outlier")
-    residual = graph.scan_e - pose.apply(graph.model_e)
+    rx, ry = _residuals(graph, pose)
     w = graph.posterior
-    rxx = float(w @ (residual[:, 0] * residual[:, 0]))
-    rxy = float(w @ (residual[:, 0] * residual[:, 1]))
-    ryy = float(w @ (residual[:, 1] * residual[:, 1]))
+    rxx = float(w @ (rx * rx))
+    rxy = float(w @ (rx * ry))
+    ryy = float(w @ (ry * ry))
     return np.array([[rxx, rxy], [rxy, ryy]]) / n_p, n_p
 
 
@@ -435,12 +479,14 @@ def _loglik_rounding(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> f
     origin.  The log, exp and the sums add a few ulps of the row terms,
     which the exponents' sizes bound.  16 ulps covers these with room.
     """
-    residual = graph.scan_e - pose.apply(graph.model_e)
+    rx, ry = _residuals(graph, pose)
+    (sx, sy), (mx, my) = graph.scan_e, graph.model_e
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow forgives every drop
-        g_r = residual @ gamma.as_matrix()
-        span = (np.abs(graph.scan_e).sum(axis=1) + np.abs(graph.model_e).sum(axis=1)
-                + abs(pose.tx) + abs(pose.ty))
-        size = (-np.log(graph.prior) + 0.5 * (residual * g_r).sum(axis=1)
-                + np.abs(g_r).sum(axis=1) * span)
+        g_rx = gamma.g00 * rx + gamma.g01 * ry
+        g_ry = gamma.g01 * rx + gamma.g11 * ry
+        span = (np.abs(sx) + np.abs(sy) + np.abs(mx) + np.abs(my)
+                + (abs(pose.tx) + abs(pose.ty)))
+        size = (-np.log(graph.prior) + 0.5 * (rx * g_rx + ry * g_ry)
+                + (np.abs(g_rx) + np.abs(g_ry)) * span)
         bound = 16.0 * np.finfo(float).eps * float(graph.posterior @ size)
     return bound if math.isfinite(bound) else math.inf

@@ -147,14 +147,20 @@ class Pose:
         """Rotate then translate.
 
         Accepts a single :class:`Point` (returning a :class:`Point`), one
-        ``(2,)`` vector, or an ``(n, 2)`` array (returning arrays).
+        ``(2,)`` vector, or an ``(n, 2)`` array (returning arrays).  Every
+        form computes ``(c x - s y + tx, s x + c y + ty)`` in that order, as
+        the E-step's residuals do, so ``s - pose(m)`` is exactly zero
+        wherever ``s`` was made as ``pose.apply(m)``.
         """
+        c, s = math.cos(self.theta), math.sin(self.theta)
         if isinstance(points, Point):
-            c, s = math.cos(self.theta), math.sin(self.theta)
             return Point(c * points.x - s * points.y + self.tx,
                          s * points.x + c * points.y + self.ty)
         arr = np.asarray(points, dtype=float)
-        return arr @ self.rotation().T + self.translation()
+        if arr.shape[-1:] != (2,):
+            raise ValueError(f"expected points with 2 coordinates, got shape {arr.shape}")
+        x, y = arr[..., 0], arr[..., 1]
+        return np.stack((c * x - s * y + self.tx, s * x + c * y + self.ty), axis=-1)
 
     def compose(self, other: "Pose") -> "Pose":
         """The pose that applies ``other`` first and then ``self``."""

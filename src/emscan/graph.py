@@ -28,7 +28,9 @@ class MatchGraph:
     The edge arrays are parallel and sorted by (scan_idx, model_idx);
     ``row_start[j]:row_start[j + 1]`` slices them for scan point ``j``.
     ``scan_e`` and ``model_e`` hold each edge's two points, gathered once
-    here so the E-step, M-step and covariance do not re-gather them.
+    here as C-contiguous ``(2, E)`` coordinate columns, so the E-step, M-step
+    and covariance unpack them as ``sx, sy = graph.scan_e`` and work on
+    contiguous x and y columns without re-gathering.
     ``posterior`` is the only mutable field; it is rewritten by the E-step
     and owned by a single registration loop at a time.
     """
@@ -37,8 +39,8 @@ class MatchGraph:
     model: np.ndarray       # (m, 2) model points, untransformed
     scan_idx: np.ndarray    # (E,) int64, non-decreasing
     model_idx: np.ndarray   # (E,) int64, ascending within each row
-    scan_e: np.ndarray      # (E, 2) scan[scan_idx]
-    model_e: np.ndarray     # (E, 2) model[model_idx], untransformed
+    scan_e: np.ndarray      # (2, E) scan[scan_idx].T, C-contiguous
+    model_e: np.ndarray     # (2, E) model[model_idx].T, untransformed, C-contiguous
     prior: np.ndarray       # (E,) uniform 1/|N(s_j)| per row
     posterior: np.ndarray   # (E,) responsibilities, initialized to prior
     row_start: np.ndarray   # (n + 1,) int64 offsets into the edge arrays
@@ -71,7 +73,8 @@ class MatchGraph:
         counts = np.bincount(scan_idx, minlength=scan.shape[0])
         prior = np.repeat(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0), counts)
         return cls(scan=scan, model=model, scan_idx=scan_idx, model_idx=model_idx,
-                   scan_e=scan[scan_idx], model_e=model[model_idx],
+                   scan_e=np.take(scan.T, scan_idx, axis=1),
+                   model_e=np.take(model.T, model_idx, axis=1),
                    prior=prior, posterior=prior.copy(),
                    row_start=np.concatenate(([0], np.cumsum(counts))))
 

@@ -111,14 +111,17 @@ def _dense_fit(graph, gamma):
     if not math.isfinite(size):
         raise DegenerateGeometry("the weighted moments of the pairs overflow")
     theta = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
-    c, s = math.cos(theta), math.sin(theta)
-    pose = Pose(c_s[0] - (c * c_m[0] - s * c_m[1]),
-                c_s[1] - (s * c_m[0] + c * c_m[1]),
-                theta)
+    tx = ty = 0.0
     if not gamma.is_isotropic:
+        # Newton on the points centred at their weighted centroids, where the
+        # best translation at ``theta`` is zero and no product outgrows the moments
         rows, cols = np.nonzero(weights > 0.0)
-        pose = _descend(scan[rows], model[cols], weights[rows, cols], gamma, pose.to_array())
-    return pose
+        tx, ty, theta = _descend(st[rows], mt[cols], weights[rows, cols], gamma,
+                                 (0.0, 0.0, theta)).to_array()
+    c, s = math.cos(theta), math.sin(theta)
+    return Pose(c_s[0] + tx - (c * c_m[0] - s * c_m[1]),
+                c_s[1] + ty - (s * c_m[0] + c * c_m[1]),
+                theta)
 
 
 def _dense_covariance(graph, pose):

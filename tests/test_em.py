@@ -12,6 +12,7 @@ from emscan import (
     DegenerateRow,
     EmConfig,
     EmptyInput,
+    MatchGraph,
     NoCorrespondences,
     NoInliers,
     Pose,
@@ -195,6 +196,64 @@ def test_e_step_normalizes_rows_and_returns_loglik(scan, model, window, pose, ga
                 + gamma.g11 * r[:, 1] ** 2)
         expected += math.log(math.fsum(g.prior[lo:hi] * np.exp(-0.5 * quad)))
     assert loglik == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+_SMALLEST_NORMAL = 2.0 ** -1022
+# Exponent gaps below a row's best edge: near log(2**-1021) = -707.7, where
+# exp leaves its fast path, log(2**-1022) = -708.4, the smallest normal
+# weight, and -744.4 / -745.1, the smallest subnormal one.
+_TAIL_GAPS = st.one_of(st.floats(0.0, 760.0), st.floats(707.0, 710.0), st.floats(744.0, 747.0),
+                       st.sampled_from([0.0, 707.7, 708.0, 708.3964185322641, 708.4, 744.4,
+                                        745.1]))
+
+
+@st.composite
+def _far_tail_rows(draw):
+    """Per-edge gaps below the row's best edge, rows of 0 to 6 edges, with
+    empty rows first, in the middle and last."""
+    def rows():
+        out = []
+        for gaps in draw(st.lists(st.lists(_TAIL_GAPS, max_size=6), min_size=1, max_size=4)):
+            if gaps:
+                gaps[draw(st.integers(0, len(gaps) - 1))] = 0.0
+            out.append(gaps)
+        return out
+    middle = rows()
+    assume(any(middle))
+    return [[]] + middle + [[]] + rows() + [[]]
+
+
+@settings(deadline=None, max_examples=150)
+@given(rows=_far_tail_rows(), base=st.floats(0.0, 50.0))
+def test_e_step_flushes_only_weights_below_the_smallest_normal(rows, base):
+    # Scan points at the origin, one model point per edge on the x axis at
+    # the distance that puts its exponent ``gap`` below the row's best.
+    counts = [len(r) for r in rows]
+    scan_idx = np.repeat(np.arange(len(rows)), counts)
+    dist = np.array([math.sqrt(2.0 * (base + gap)) for r in rows for gap in r])
+    model = np.column_stack((dist, np.zeros_like(dist)))
+    g = MatchGraph.from_edges(np.zeros((len(rows), 2)), model, scan_idx, np.arange(dist.size))
+    loglik = e_step(g, identity, eye)
+
+    w = g.posterior
+    assert np.all((w == 0.0) | (w >= _SMALLEST_NORMAL))
+    expected = []
+    for j, count in enumerate(counts):
+        lo, hi = g.row_start[j], g.row_start[j + 1]
+        if count == 0:
+            continue
+        assert math.fsum(w[lo:hi]) == pytest.approx(1.0, abs=1e-12)
+        expo = [math.log(g.prior[e]) - 0.5 * (dist[e] * dist[e]) for e in range(lo, hi)]
+        top = max(expo)
+        lse = top + math.log(math.fsum(math.exp(x - top) for x in expo))
+        expected.append(lse)
+        for e, x in zip(range(lo, hi), expo):
+            exact = math.exp(x - lse)
+            if w[e] == 0.0:
+                assert exact < _SMALLEST_NORMAL * (1.0 + 1e-12)
+            else:
+                assert w[e] == pytest.approx(exact, rel=1e-12)
+    assert loglik == pytest.approx(math.fsum(expected), rel=1e-12, abs=1e-12)
 
 
 class TestMStep:
@@ -491,6 +550,18 @@ class TestRegister:
         forward = register(scan, model, identity, cfg).pose
         reverse = register(model, scan, identity, cfg).pose
         assert_pose_close(forward.compose(reverse), identity, atol=1e-5)
+
+
+    @pytest.mark.parametrize("truth, seed", [(Pose(0.3, -0.2, 0.0873), 7),
+                                             (Pose(0.03, -0.02, math.radians(1.5)), 3)],
+                             ids=["readme", "track"])
+    def test_returned_posteriors_hold_no_subnormal(self, truth, seed):
+        # the README scene, and a tracking step from the previous estimate
+        model, scan, _ = make_scene("rectangle", 200, truth, noise_sigma=0.02, seed=seed)
+        result = register(scan, model, identity, EmConfig.isotropic(0.02, window_w=1.0))
+        w = result.graph.posterior
+        assert np.count_nonzero(w == 0.0) > 0       # the far tail is there, flushed
+        assert np.all((w == 0.0) | (w >= 2.0 ** -1022))
 
 
 class TestEmConfig:

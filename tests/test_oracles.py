@@ -159,6 +159,26 @@ class TestDenseEmRegister:
             with pytest.raises(DegenerateGeometry):
                 registration(scan, model, identity, cfg)
 
+    def test_anisotropic_fit_of_a_far_offset_cloud_stays_finite(self):
+        # spread 1e150 at 5e153 from the origin: uncentred, the Newton fit's
+        # products with Gamma overflow although the centred moments do not
+        spread, offset = 1e150, 5e153
+        model = np.random.default_rng(0).uniform(0.0, 1.0, (20, 2)) * spread + offset
+        centre = np.full(2, offset + 0.5 * spread)
+        turn = Pose(0.0, 0.0, 0.1)
+        shift = centre - turn.apply(centre) + np.array([0.3, 0.1]) * spread
+        scan = Pose(shift[0], shift[1], 0.1).apply(model)
+        cfg = EmConfig(gamma=PrecisionMatrix(2.0, 0.5, 1.0), window_w=2.0 * spread)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fast = register(scan, model, identity, cfg)
+            slow = dense_em_register(scan, model, identity, cfg)
+        assert fast.iterations == slow.iterations
+        # translations are 1e152-sized differences of 5e153-sized centroids
+        assert abs(fast.pose.tx - slow.pose.tx) < 1e-9 * spread
+        assert abs(fast.pose.ty - slow.pose.ty) < 1e-9 * spread
+        assert abs(math.remainder(fast.pose.theta - slow.pose.theta, 2.0 * math.pi)) < 1e-9
+
     def test_all_beyond_window(self):
         cfg = EmConfig.isotropic(0.1, window_w=1.0)
         with pytest.raises(NoCorrespondences):
