@@ -103,8 +103,10 @@ def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:
         raise NonPositiveRadius(f"window must be > 0, got {w}")
 
     scan_idx, model_idx = GridIndex(pose0.apply(model), w).query_pairs(scan)
-    order = np.argsort(scan_idx * model.shape[0] + model_idx)    # by (scan, model)
-    return MatchGraph.from_edges(scan, model, scan_idx[order], model_idx[order])
+    # Sorting the unique (scan, model) keys themselves is cheaper than argsort.
+    scan_idx, model_idx = np.divmod(np.sort(scan_idx * model.shape[0] + model_idx),
+                                    model.shape[0])
+    return MatchGraph.from_edges(scan, model, scan_idx, model_idx)
 
 
 def dump_graph(graph: MatchGraph, destination) -> None:

@@ -17,9 +17,12 @@ then cannot overflow, so a query far from the corner but near a point still
 finds it.  Rows are clipped to ``[0, 2**30)``
 and a column out of range keys below or above every point, so packing loses
 no candidate, and candidates pass the strict distance test of an exhaustive
-scan, squared after scaling by a power of two so that any finite radius
-works.  The grid returns exactly what that scan returns, or refuses the
-point set at build time.
+scan.  The test reads the points in key order from contiguous x and y
+columns.  It forms each difference first and only then scales it by the
+power of two that puts the radius in ``[0.5, 1)``, so the squares neither
+overflow nor underflow for any finite radius; scaling the coordinates before
+subtracting could overflow them.  The grid returns exactly what that scan
+returns, or refuses the point set at build time.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import NonPositiveRadius, ScanMatchError
-from .geometry import _as_xy, _within_radius, as_point_array
+from .geometry import _as_xy, as_point_array
 
 __all__ = ["GridIndex"]
 
@@ -48,17 +51,17 @@ class GridIndex:
     def __init__(self, points, radius: float):
         if not radius > 0.0:
             raise NonPositiveRadius(f"radius must be > 0, got {radius}")
-        self._points = as_point_array(points)
+        points = as_point_array(points)
         self._radius = float(radius)
         self._cell_size = self._radius * _CELL_WIDENING
         # Keys are computed in units scaled by 2**-shift; see the module notes.
         self._shift = max(math.frexp(self._radius)[1], 0)
         self._scaled_cell = math.ldexp(self._radius, -self._shift) * _CELL_WIDENING
-        origin = self._points.min(axis=0) if len(self._points) else np.zeros(2)
+        origin = points.min(axis=0) if len(points) else np.zeros(2)
         self._scaled_origin = np.ldexp(origin, -self._shift)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            cells = np.floor(self._scaled_offset(self._points))
+            cells = np.floor(self._scaled_offset(points))
         if not (cells < _MAX_KEY).all():     # also false for inf and nan
             raise ScanMatchError(
                 f"point set spans more than {_MAX_KEY} cells of {self._radius} m")
@@ -66,13 +69,15 @@ class GridIndex:
         keys = cells[:, 0] * _MAX_KEY + cells[:, 1]
         self._order = np.argsort(keys, kind="stable")
         self._keys = keys[self._order]
+        # x and y of the points in key order, as contiguous rows.
+        self._columns = np.take(points.T, self._order, axis=1)
 
     def _scaled_offset(self, p: np.ndarray) -> np.ndarray:
         """``(p - corner) / cell``, computed on the scaled coordinates."""
         return (np.ldexp(p, -self._shift) - self._scaled_origin) / self._scaled_cell
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._order.size
 
     @property
     def cell_size(self) -> float:
@@ -111,13 +116,23 @@ class GridIndex:
         query_idx = np.repeat(np.arange(len(q), dtype=np.int64), per_query)
         counts = counts.ravel()
         run_start = np.cumsum(counts) - counts
-        slots = np.arange(query_idx.size) + np.repeat(lo.ravel() - run_start, counts)
-        point_idx = self._order[slots]
-        # Far-apart finite points may differ by inf here, which fails the test.
+        slots = np.repeat(lo.ravel() - run_start, counts)
+        slots += np.arange(query_idx.size)
+        # Differences first, then the scale (see the module notes); far-apart
+        # finite points may differ by inf, which fails the test.  The steps
+        # run in place, as fresh arrays of this size cost page faults.
+        exponent = math.frexp(self._radius)[1]
+        r = math.ldexp(self._radius, -exponent)
         with np.errstate(over="ignore"):
-            d = np.take(self._points, point_idx, axis=0) - np.repeat(q, per_query, axis=0)
-        keep = _within_radius(d, self._radius)
-        return query_idx[keep], point_idx[keep]
+            dx = self._columns[0][slots] - np.repeat(q[:, 0], per_query)
+            dy = self._columns[1][slots] - np.repeat(q[:, 1], per_query)
+            np.ldexp(dx, -exponent, out=dx)
+            np.ldexp(dy, -exponent, out=dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+        keep = np.flatnonzero(dx < r * r)
+        return query_idx[keep], self._order[slots[keep]]
 
     def query_radius(self, q) -> np.ndarray:
         """Indices ``i`` with ``||points[i] - q|| < radius``: one row of ``query_pairs``."""

@@ -2,7 +2,8 @@
 
 Each recomputes one library answer from first principles and shares none
 of its algebra: an edge-by-edge residual covariance, and a pose fit by grid
-search plus exact-derivative Newton descent on the weighted fit objective.
+search plus exact-derivative Newton descent on the weighted fit objective,
+and a point-file parser that walks the file one line at a time.
 """
 
 import math
@@ -59,3 +60,31 @@ def numerical_m_step(graph: MatchGraph, gamma, *, angle_samples: int = 72) -> Po
                 if value < best_value:
                     best_y, best_value = y, value
     return _descend(scan_e, model_e, w, gamma, best_y)
+
+
+def line_by_line_load_points(path) -> np.ndarray:
+    """Parse a point file into an ``(n, 2)`` array.
+
+    Blank lines and lines starting with ``#`` are skipped.  Anything else
+    must be two whitespace-separated floats; violations raise ValueError
+    with the offending line number.
+    """
+    pts = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'x y', got {line!r}")
+            try:
+                pts.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number pair: {line!r}") from None
+    if not pts:
+        return np.empty((0, 2))
+    arr = np.array(pts, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: non-finite coordinates")
+    return arr

@@ -165,6 +165,15 @@ def test_gate_is_all_pairs_csr_for_any_finite_input(case):
     np.testing.assert_array_equal(g.prior, 1.0 / np.diff(g.row_start)[g.scan_idx])
 
 
+def test_gate_subtracts_before_scaling_near_the_largest_float():
+    # Scaled by 2 for the 0.25 m radius before subtracting, 1.5e308 would
+    # overflow to inf, and inf - inf is nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_graph([[1.5e308, 0.0], [1.5e308, 1.0]], [[1.5e308, 0.0]], identity, 0.25)
+    assert g.edge_set() == {(0, 0)}
+
+
 @st.composite
 def _lattice_gate_case(draw):
     """Scan, model and gate translation on a 2**-10 m lattice within 4 m, and
