@@ -51,7 +51,6 @@ DEFAULT_CONVERGENCE_EPSILON = 1e-6
 GATE_SIGMA_MULTIPLE = 3.0
 
 _MIN_TOTAL_WEIGHT = 1e-12
-_DEEP_TAIL_LOG = -700.0
 #: The smallest normal float and its log: smaller weights are flushed to 0.
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
@@ -148,27 +147,20 @@ def _residuals(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
     return np.subtract(sx, rx, out=rx), np.subtract(sy, ry, out=ry)
 
 
-def _edge_exponents(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> np.ndarray:
-    """log(prior) - ||s - pose(m)||^2_Gamma / 2 for every edge."""
-    rx, ry = _residuals(graph, pose)
-    expo = gamma.g00 * rx               # g00 rx rx + 2 g01 rx ry + g11 ry ry, in place
-    expo *= rx
-    rx *= 2.0 * gamma.g01
-    rx *= ry
-    expo += rx
-    np.multiply(gamma.g11, ry, out=rx)
-    rx *= ry
-    expo += rx
-    expo *= -0.5
-    expo += np.log(graph.prior)
-    return expo
+def _nonempty_rows(graph: MatchGraph) -> tuple[np.ndarray, np.ndarray]:
+    """First edge and edge count of every scan point holding an edge."""
+    counts = graph.neighbor_counts
+    nonempty = counts > 0
+    return graph.row_start[:-1][nonempty], counts[nonempty]
 
 
 def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     """Update ``graph.posterior`` in place and return the log-likelihood at ``pose``.
 
-    Each nonempty row j becomes
-    ``prior_jk * density_jk / sum_k' prior_jk' * density_jk'``, normalized
+    The prior is uniform over each row, ``prior_j = 1 / count_j``, and is read
+    once per row, at the row's first edge: a non-uniform prior written into
+    ``graph.prior`` is not honoured.  It cancels in the posterior, so each
+    nonempty row j becomes ``density_jk / sum_k' density_jk'``, normalized
     in log domain with a per-row max shift so rows far from the model stay
     exactly normalized instead of underflowing.  Rows without edges are
     untouched (outliers own no responsibility mass).
@@ -184,7 +176,7 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     log-likelihood.
 
     The return value is the marginal log-likelihood, the sum over nonempty
-    rows of ``log sum_k prior_jk * density_jk``, read off the same per-row
+    rows of ``log prior_j + log sum_k density_jk``, read off the same per-row
     max and denominator.  Outlier rows contribute zero, and a graph without
     edges scores exactly 0.  The dropped Gaussian normalization constant
     shifts it by a pose-independent amount.  Raises DegenerateRow when it
@@ -192,29 +184,28 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     """
     if graph.edge_count == 0:
         return 0.0
-    counts = graph.neighbor_counts
-    nonempty = counts > 0
-    starts, counts = graph.row_start[:-1][nonempty], counts[nonempty]
+    starts, counts = _nonempty_rows(graph)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # surface below
-        expo = _edge_exponents(graph, pose, gamma)
+        rx, ry = _residuals(graph, pose)
+        expo = gamma.g00 * rx           # -(g00 rx rx + 2 g01 rx ry + g11 ry ry) / 2, in place
+        expo *= rx
+        rx *= 2.0 * gamma.g01
+        rx *= ry
+        expo += rx
+        np.multiply(gamma.g11, ry, out=rx)
+        rx *= ry
+        expo += rx
+        expo *= -0.5
         row_max = np.maximum.reduceat(expo, starts)
         expo -= np.repeat(row_max, counts)
         weights = np.zeros_like(expo)
         np.exp(expo, out=weights, where=expo >= _LOG_TINY)
         denom = np.add.reduceat(weights, starts)
-        loglik = float(np.sum(row_max + np.log(denom)))
+        loglik = float(np.sum(row_max + np.log(denom) + np.log(graph.prior[starts])))
     # The max shift keeps every denom >= 1 and every weight in [0, 1], so a
     # finite log-likelihood implies finite posteriors.
     if not math.isfinite(loglik):
         raise DegenerateRow(f"log-likelihood {loglik} is not finite")
-
-    deep = row_max < _DEEP_TAIL_LOG
-    if deep.any():
-        logger.debug(
-            "%d scan rows have best log-density below %.0f; responsibilities "
-            "still normalized via max-shift", int(deep.sum()), _DEEP_TAIL_LOG,
-        )
-
     weights /= np.repeat(denom, counts)
     np.multiply(weights, weights >= _TINY, out=graph.posterior)
     return loglik
@@ -471,13 +462,14 @@ def _squarem(p0: Pose, p1: Pose, p2: Pose) -> Pose | None:
 def _loglik_rounding(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     """Bound on the rounding error of ``e_step``'s log-likelihood at ``pose``.
 
-    A row's term is ``log sum_k exp(x_k)``, so errors in its exponents
-    ``x = log prior - r^T Gamma r / 2`` move it by their posterior mean.  An
+    A row's term is ``log prior_j + log sum_k exp(x_k)``, so errors in its
+    exponents ``x = -r^T Gamma r / 2`` move it by their posterior mean.  An
     exponent errs by a few ulps of its own size, plus ``|Gamma r|`` times the
     error of ``r = s - R m - t``, which is a few ulps of ``|s| + |m| + |t|``:
     that cancellation dominates near the optimum for points far from the
-    origin.  The log, exp and the sums add a few ulps of the row terms,
-    which the exponents' sizes bound.  16 ulps covers these with room.
+    origin.  The logs, exp and the sums add a few ulps of the row terms,
+    which the exponents' sizes and ``-log prior_j`` bound.  16 ulps covers
+    these with room.
     """
     rx, ry = _residuals(graph, pose)
     (sx, sy), (mx, my) = graph.scan_e, graph.model_e
@@ -486,7 +478,7 @@ def _loglik_rounding(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> f
         g_ry = gamma.g01 * rx + gamma.g11 * ry
         span = (np.abs(sx) + np.abs(sy) + np.abs(mx) + np.abs(my)
                 + (abs(pose.tx) + abs(pose.ty)))
-        size = (-np.log(graph.prior) + 0.5 * (rx * g_rx + ry * g_ry)
-                + (np.abs(g_rx) + np.abs(g_ry)) * span)
-        bound = 16.0 * np.finfo(float).eps * float(graph.posterior @ size)
+        size = 0.5 * (rx * g_rx + ry * g_ry) + (np.abs(g_rx) + np.abs(g_ry)) * span
+        log_prior = np.log(graph.prior[_nonempty_rows(graph)[0]])
+        bound = 16.0 * np.finfo(float).eps * (float(graph.posterior @ size) - log_prior.sum())
     return bound if math.isfinite(bound) else math.inf

@@ -64,20 +64,28 @@ def _as_xy(p) -> np.ndarray:
     return arr
 
 
-def _within_radius(d: np.ndarray, radius: float) -> np.ndarray:
-    """``||d|| < radius`` over the last axis of differences ``d``, for any
-    finite radius.  Scales ``d`` in place.
+def _within_radius(dx: np.ndarray, dy: np.ndarray, radius: float) -> np.ndarray:
+    """``dx**2 + dy**2 < radius**2`` over difference columns ``dx`` and ``dy``,
+    for any finite radius.  Overwrites both columns: fresh arrays of the
+    grid's candidate count cost page faults.
 
     The differences and the radius are scaled by the power of two that puts
     the radius in ``[0.5, 1)`` before squaring, so ``radius**2`` neither
     overflows nor underflows.  The scale is exact: wherever the unscaled
     squares stay finite and normal, the answer is the unscaled test's.
+    Scaling the coordinates before subtracting them could overflow, so
+    callers pass differences.  The grid's query and the oracles both test
+    with this function, so they round identically.
     """
     exponent = math.frexp(radius)[1]
     r = math.ldexp(radius, -exponent)
     with np.errstate(over="ignore"):    # far-apart points go to inf and fail
-        np.ldexp(d, -exponent, out=d)
-        return d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] < r * r
+        np.ldexp(dx, -exponent, out=dx)
+        np.ldexp(dy, -exponent, out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+    return dx < r * r
 
 
 @dataclass(frozen=True)
@@ -139,9 +147,6 @@ class Pose:
         """The 2x2 rotation matrix of ``theta``."""
         c, s = math.cos(self.theta), math.sin(self.theta)
         return np.array([[c, -s], [s, c]])
-
-    def translation(self) -> np.ndarray:
-        return np.array([self.tx, self.ty])
 
     def apply(self, points):
         """Rotate then translate.

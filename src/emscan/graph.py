@@ -31,8 +31,10 @@ class MatchGraph:
     here as C-contiguous ``(2, E)`` coordinate columns, so the E-step, M-step
     and covariance unpack them as ``sx, sy = graph.scan_e`` and work on
     contiguous x and y columns without re-gathering.
-    ``posterior`` is the only mutable field; it is rewritten by the E-step
-    and owned by a single registration loop at a time.
+    ``prior`` is uniform over each row, and the E-step reads it once per row,
+    at the row's first edge: a non-uniform prior written into it is not
+    honoured.  ``posterior`` is the only mutable field; it is rewritten by
+    the E-step and owned by a single registration loop at a time.
     """
 
     scan: np.ndarray        # (n, 2) scan points

@@ -14,15 +14,11 @@ a point within the radius two cells away.  For a radius of 0.5 or more, the
 coordinates, the corner and the cell are first scaled by the power of two
 that puts the radius in ``[0.5, 1)``; the scale is exact, and ``p - corner``
 then cannot overflow, so a query far from the corner but near a point still
-finds it.  Rows are clipped to ``[0, 2**30)``
-and a column out of range keys below or above every point, so packing loses
-no candidate, and candidates pass the strict distance test of an exhaustive
-scan.  The test reads the points in key order from contiguous x and y
-columns.  It forms each difference first and only then scales it by the
-power of two that puts the radius in ``[0.5, 1)``, so the squares neither
-overflow nor underflow for any finite radius; scaling the coordinates before
-subtracting could overflow them.  The grid returns exactly what that scan
-returns, or refuses the point set at build time.
+finds it.  Rows are clipped to ``[0, 2**30)`` and a column out of range keys
+below or above every point, so packing loses no candidate.  Candidates, read
+in key order from contiguous x and y columns, pass ``geometry._within_radius``,
+the strict distance test of the exhaustive scan in ``oracles``.  The grid
+returns exactly what that scan returns, or refuses the point set at build time.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import NonPositiveRadius, ScanMatchError
-from .geometry import _as_xy, as_point_array
+from .geometry import _as_xy, _within_radius, as_point_array
 
 __all__ = ["GridIndex"]
 
@@ -118,20 +114,11 @@ class GridIndex:
         run_start = np.cumsum(counts) - counts
         slots = np.repeat(lo.ravel() - run_start, counts)
         slots += np.arange(query_idx.size)
-        # Differences first, then the scale (see the module notes); far-apart
-        # finite points may differ by inf, which fails the test.  The steps
-        # run in place, as fresh arrays of this size cost page faults.
-        exponent = math.frexp(self._radius)[1]
-        r = math.ldexp(self._radius, -exponent)
+        # Far-apart finite points may differ by inf, which fails the test.
         with np.errstate(over="ignore"):
             dx = self._columns[0][slots] - np.repeat(q[:, 0], per_query)
             dy = self._columns[1][slots] - np.repeat(q[:, 1], per_query)
-            np.ldexp(dx, -exponent, out=dx)
-            np.ldexp(dy, -exponent, out=dy)
-            dx *= dx
-            dy *= dy
-            dx += dy
-        keep = np.flatnonzero(dx < r * r)
+        keep = np.flatnonzero(_within_radius(dx, dy, self._radius))
         return query_idx[keep], self._order[slots[keep]]
 
     def query_radius(self, q) -> np.ndarray:

@@ -38,8 +38,8 @@ _MAX_NEWTON_STEPS = 100
 def brute_force_neighbors(points, q, w: float) -> np.ndarray:
     """Exhaustive scan for indices with ``||points[i] - q|| < w``.
 
-    Uses the grid index's distance test so both sides of the equivalence
-    check round identically.
+    Uses the grid index's distance test, ``geometry._within_radius``, so
+    both sides of the equivalence check round identically.
     """
     if not w > 0.0:
         raise NonPositiveRadius(f"radius must be > 0, got {w}")
@@ -47,7 +47,8 @@ def brute_force_neighbors(points, q, w: float) -> np.ndarray:
     qa = _as_xy(q)
     if pts.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    return np.nonzero(_within_radius(pts - qa, w))[0].astype(np.int64)
+    d = pts - qa
+    return np.nonzero(_within_radius(d[:, 0], d[:, 1], w))[0].astype(np.int64)
 
 
 def _dense_gate(scan, model, pose, w) -> MatchGraph:
@@ -56,7 +57,8 @@ def _dense_gate(scan, model, pose, w) -> MatchGraph:
         raise EmptyInput("empty scan")
     if model.shape[0] == 0:
         raise EmptyInput("empty model")
-    adjacency = _within_radius(scan[:, None, :] - pose.apply(model)[None, :, :], w)
+    d = scan[:, None, :] - pose.apply(model)[None, :, :]
+    adjacency = _within_radius(d[..., 0], d[..., 1], w)
     return MatchGraph.from_edges(scan, model, *np.nonzero(adjacency))
 
 

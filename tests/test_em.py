@@ -121,6 +121,32 @@ class TestEStep:
             with pytest.raises(DegenerateRow):
                 e_step(g, identity, eye)
 
+    def test_row_prior_scale_shifts_only_the_loglik(self, rng):
+        # a per-row constant c_j on the prior cancels in the posterior and
+        # adds log c_j to the row's log-likelihood term
+        for _ in range(20):
+            scan = random_cloud(rng, int(rng.integers(2, 50)))
+            model = random_cloud(rng, int(rng.integers(2, 50)))
+            pose = random_pose(rng, 0.1, 0.2)
+            gamma = PrecisionMatrix.isotropic(float(rng.uniform(0.05, 0.5)))
+            g = build_graph(scan, model, identity, 1.0)
+            scaled = build_graph(scan, model, identity, 1.0)
+            c = rng.uniform(0.1, 10.0, g.n_scan)
+            scaled.prior *= np.repeat(c, g.neighbor_counts)
+            loglik = e_step(g, pose, gamma)
+            shifted = e_step(scaled, pose, gamma)
+            np.testing.assert_array_equal(scaled.posterior, g.posterior)
+            expected = loglik + float(np.log(c[g.neighbor_counts > 0]).sum())
+            assert shifted == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_a_nan_prior_in_one_row_surfaces_degenerate_row(self, rng):
+        scan = random_cloud(rng, 30)
+        g = build_graph(scan, scan + 0.01, identity, 1.0)
+        j = int(np.flatnonzero(g.neighbor_counts)[g.inlier_count // 2])
+        g.prior[g.row_start[j]:g.row_start[j + 1]] = math.nan
+        with pytest.raises(DegenerateRow, match="not finite"):
+            e_step(g, identity, eye)
+
     def test_overflowing_exponents_raise_degenerate_row(self):
         # every edge's Mahalanobis term overflows, leaving the row no finite weight
         gamma = PrecisionMatrix(1.7e308, 0.0, 1e-10)
