@@ -17,6 +17,7 @@ ran out of iterations without converging (the result is still printed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -51,23 +52,24 @@ _SWITCH_OFF = ("", "0", "false", "no", "off")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit with the input-error code and
-    that reads its ``_option`` variables only when it parses."""
+    """Argument parser whose usage errors exit with the input-error code.  It
+    reads its ``_option`` variables only when it parses, into the namespace,
+    where a given flag overwrites them, and leaves itself as built."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.env_options: list[tuple[argparse.Action, str]] = []
 
     def parse_known_args(self, args=None, namespace=None):
+        namespace = argparse.Namespace() if namespace is None else namespace
         for action, name in self.env_options:
             raw = os.environ.get(name)
             if raw is None:
                 continue
             try:
-                action.default = _env_value(action, raw)
+                setattr(namespace, action.dest, _env_value(action, raw))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad value for {name}: {raw!r} ({exc})") from None
-            action.required = False
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
@@ -98,11 +100,13 @@ def _env_value(action: argparse.Action, raw: str):
 
 
 def _option(parser: _Parser, flag: str, **kwargs) -> None:
-    """Add ``flag``; a set ``EMSCAN_<FLAG>`` replaces its default and makes it optional."""
+    """Add ``flag``; a set ``EMSCAN_<FLAG>`` gives its value where the flag is not given."""
     parser.env_options.append((parser.add_argument(flag, **kwargs), _env_name(flag)))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as built."""
     parser = _Parser(
         prog="emscan",
         description="Rigid 2D point-set registration by expectation-maximization.",
@@ -148,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     _option(syn, "--outlier-fraction", type=float, default=0.0)
     _option(syn, "--seed", type=int, default=0)
     _option(syn, "--degrees", action="store_true", help="interpret the pose angle in degrees")
-    _option(syn, "--out", required=True, metavar="PREFIX", help="output path prefix")
+    _option(syn, "--out", metavar="PREFIX", help="output path prefix (required)")
     syn.set_defaults(func=cmd_synth)
 
     ben = sub.add_parser(
@@ -218,6 +222,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.out is None:
+        raise ValueError(f"synth needs --out PREFIX or {_env_name('--out')}")
     model, scan, truth = make_scene(
         args.shape, args.n, _pose(args.pose, args.degrees),
         noise_sigma=args.noise_sigma,

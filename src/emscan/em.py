@@ -1,8 +1,8 @@
 """Expectation-maximization registration of a scan to a model point set.
 
-One registration call gates candidate correspondences at the initial pose
-(and, when regating, again at each fixed point of EM on a gate), then
-alternates two steps until the marginal log-likelihood stops improving:
+One registration call gates candidate correspondences, then alternates two
+steps until the marginal log-likelihood stops improving; ``_run_em`` states
+when the loop stops, regates and extrapolates:
 
 * E-step: per-edge responsibilities, the posterior probability that a scan
   point measures a given gated model point under the current pose.
@@ -10,8 +10,9 @@ alternates two steps until the marginal log-likelihood stops improving:
   Mahalanobis residual sum: closed form for isotropic precision, else a
   scalar minimization over the rotation from two weighted 2x2 moments.
 
-Each sweep costs O(E) over the gated edges, which is O(n) in the scan size
-for bounded-density scenes.  After convergence the residual covariance is
+Both read the graph's feature matrix, one product per step, so a sweep costs
+O(E) over the gated edges, which is O(n) in the scan size for
+bounded-density scenes.  After convergence the residual covariance is
 the responsibility-weighted average outer product of the residuals over
 the n_P scan points that have at least one correspondence.
 """
@@ -32,7 +33,7 @@ from .errors import (
     NoInliers,
 )
 from .geometry import Pose, PrecisionMatrix, as_point_array
-from .graph import MatchGraph, build_graph
+from .graph import FEATURES, ISOTROPIC_FEATURES, MatchGraph, build_graph
 
 __all__ = [
     "EmConfig",
@@ -69,13 +70,9 @@ class EmConfig:
 
     ``window_w`` of None selects the default gate radius of three times the
     largest noise std implied by ``gamma`` (3 sigma tail mass is
-    negligible).  ``regate_each_iteration`` regates at each fixed point:
-    once EM on a gate stops gaining, the gate is rebuilt at that pose, and
-    the run converges only when the rebuilt gate has the same edges; it is
-    off by default, holding the initial gate fixed.  It decides nothing
-    else: in both modes EM on a gate is accelerated by SQUAREM unless
-    ``gamma`` is nearly singular.  ``register`` and
-    ``oracles.dense_em_register`` read these settings in one shared loop.
+    negligible).  ``regate_each_iteration``, off by default, regates at each
+    fixed point of EM.  ``_run_em``, the loop of ``register`` and
+    ``oracles.dense_em_register``, states what each setting does.
     """
 
     gamma: PrecisionMatrix
@@ -135,45 +132,64 @@ class RegistrationResult:
     graph: MatchGraph
 
 
-def _residuals(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """The columns ``rx, ry`` of ``s - pose(m)`` over the edges."""
-    (sx, sy), (mx, my) = graph.scan_e, graph.model_e
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    rx, ry = c * mx, s * mx             # pose(m), then s minus it, in place
-    rx -= s * my
-    ry += c * my
-    rx += pose.tx
-    ry += pose.ty
-    return np.subtract(sx, rx, out=rx), np.subtract(sy, ry, out=ry)
+def _turn(delta: float) -> tuple[float, float]:
+    """``(cos delta - 1, sin delta)``, the first as ``-2 sin^2(delta / 2)``."""
+    half = math.sin(0.5 * delta)
+    return -2.0 * half * half, math.sin(delta)
 
 
-def _nonempty_rows(graph: MatchGraph) -> tuple[np.ndarray, np.ndarray]:
-    """First edge and edge count of every scan point holding an edge."""
-    counts = graph.neighbor_counts
-    nonempty = counts > 0
-    return graph.row_start[:-1][nonempty], counts[nonempty]
+def _offset(graph: MatchGraph, pose: Pose) -> tuple[float, float, float, float]:
+    """``(a, b, dx, dy)``: at ``pose`` each edge's residual is ``delta + L q + d``,
+    with ``(a, b) = _turn(theta - theta0)``, ``L = I - R(theta - theta0) =
+    -[[a, -b], [b, a]]`` and ``d = t0 - t + L (center - t0)`` for the anchor."""
+    anchor = graph.anchor
+    a, b = _turn(pose.theta - anchor.theta)
+    vx, vy = graph.center[0] - anchor.tx, graph.center[1] - anchor.ty
+    return (a, b, anchor.tx - pose.tx - (a * vx - b * vy),
+            anchor.ty - pose.ty - (b * vx + a * vy))
+
+
+def _exponents(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> np.ndarray:
+    """Every edge's exponent ``-r^T Gamma r / 2`` at ``pose``, as one ``c @ F``.
+
+    ``c`` expands ``r^T Gamma r`` over ``r = delta + L q + d`` (``_offset``) into
+    the feature rows: 10 terms for isotropic ``gamma``, else 15.  The terms
+    can reach ``|Gamma| |delta|^2`` where ``r`` is small, so a ``gamma`` above
+    2**512 is scaled by an exact power of two, undone on the exponents.
+    """
+    a, b, dx, dy = _offset(graph, pose)
+    scale = max(0, math.frexp(max(gamma.g00, gamma.g11))[1] - 512)
+    g00, g01, g11 = (math.ldexp(g, -scale) for g in (gamma.g00, gamma.g01, gamma.g11))
+    hx, hy, gs = g00 * dx + g01 * dy, g01 * dx + g11 * dy, 0.25 * g00 + 0.25 * g11
+    c = [-0.5 * (dx * hx + dy * hy), -hx, -hy, a * hx + b * hy, a * hy - b * hx,
+         -0.5 * g00, -0.5 * g11, 2.0 * a * gs, -2.0 * b * gs, -(a * a + b * b) * gs]
+    if not gamma.is_isotropic:
+        gd, ab, a2b2 = 0.25 * g00 - 0.25 * g11, a * b, a * a - b * b
+        c += [-g01, -a2b2 * gd - ab * g01, 4.0 * ab * gd - a2b2 * g01,
+              2.0 * a * gd + b * g01, a * g01 - 2.0 * b * gd]
+    expo = np.array(c) @ graph.feature_rows(len(c))
+    if scale:
+        expo *= math.ldexp(1.0, scale)
+    return expo
 
 
 def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     """Update ``graph.posterior`` in place and return the log-likelihood at ``pose``.
 
-    The prior is uniform over each row, ``prior_j = 1 / count_j``, and is read
-    once per row, at the row's first edge: a non-uniform prior written into
-    ``graph.prior`` is not honoured.  It cancels in the posterior, so each
-    nonempty row j becomes ``density_jk / sum_k' density_jk'``, normalized
-    in log domain with a per-row max shift so rows far from the model stay
-    exactly normalized instead of underflowing.  Rows without edges are
-    untouched (outliers own no responsibility mass).
+    The exponents of all edges are one product with the graph's features
+    (``_exponents``).  The prior is uniform over each row, ``1 / count_j``,
+    and is read once per row, at its first edge (a non-uniform prior written
+    into ``graph.prior`` is not honoured).  It cancels in the posterior, so
+    each nonempty row j becomes ``density_jk / sum_k' density_jk'``,
+    normalized in log domain with a per-row max shift so rows far from the
+    model stay exactly normalized.  Rows without edges are untouched.
 
-    Weights below 2**-1022, the smallest normal float, are written as exact
-    zeros: ``exp`` runs only where an exponent lies at most
-    ``log(2**-1022)`` (about -708.4) below its row's maximum, and a
-    normalized weight that still falls below 2**-1022 is flushed too.
-    Further down, ``exp`` leaves its vectorized path (10-100 times slower
-    per element) and yields subnormals that slow every later multiply by
-    them.  Each nonempty row holds a weight of at least 1 / count, so the
-    flushed mass changes no row sum, no M-step or covariance sum and no
-    log-likelihood.
+    Weights below 2**-1022, the smallest normal float, are exact zeros:
+    ``exp`` runs only where an exponent lies at most ``log(2**-1022)`` below
+    its row's maximum, and a normalized weight still below 2**-1022 is
+    flushed.  Further down, ``exp`` leaves its vectorized path and yields
+    subnormals that slow every later multiply.  Each row keeps a weight of
+    at least 1 / count, so the flush changes no sum and no log-likelihood.
 
     The return value is the marginal log-likelihood, the sum over nonempty
     rows of ``log prior_j + log sum_k density_jk``, read off the same per-row
@@ -184,18 +200,9 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     """
     if graph.edge_count == 0:
         return 0.0
-    starts, counts = _nonempty_rows(graph)
+    starts, counts = graph.nonempty_rows
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # surface below
-        rx, ry = _residuals(graph, pose)
-        expo = gamma.g00 * rx           # -(g00 rx rx + 2 g01 rx ry + g11 ry ry) / 2, in place
-        expo *= rx
-        rx *= 2.0 * gamma.g01
-        rx *= ry
-        expo += rx
-        np.multiply(gamma.g11, ry, out=rx)
-        rx *= ry
-        expo += rx
-        expo *= -0.5
+        expo = _exponents(graph, pose, gamma)
         row_max = np.maximum.reduceat(expo, starts)
         expo -= np.repeat(row_max, counts)
         weights = np.zeros_like(expo)
@@ -214,45 +221,43 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
 def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
     """Pose minimizing ``sum_e posterior_e * ||s_e - T(m_e, y)||^2_Gamma``.
 
-    With weighted centroids ``c_s``, ``c_m`` and moments ``A = sum_e w_e
-    (m_e - c_m)(s_e - c_s)^T``, ``B = sum_e w_e (m_e - c_m)(m_e - c_m)^T``,
-    the best translation for a rotation ``R`` is ``c_s - R c_m``, leaving
-    ``f(theta) = tr(Gamma R B R^T) - 2 tr(Gamma R A)``.  For isotropic
-    ``gamma`` the first term is constant and ``atan2(A01 - A10, A00 + A11)``
-    is exact; otherwise it seeds ``_anisotropic_theta``, which reads no edge.
-    Raises DegenerateGeometry when the total weight is too small or the
-    moments overflow.
+    One product ``F @ w`` of the features with the posterior gives the total
+    weight, then, in the anchor's frame, the weighted centroids and moments
+    ``A = sum_e w_e (m_e - c_m)(s_e - c_s)^T`` and ``B = sum_e w_e (m_e -
+    c_m)(m_e - c_m)^T``.  The best translation for a turn ``R`` from the
+    anchor is ``c_s - R c_m``, leaving ``f = tr(Gamma R B R^T) - 2 tr(Gamma R
+    A)``.  For isotropic ``gamma`` the first term is constant and
+    ``atan2(A01 - A10, A00 + A11)`` is exact; otherwise it seeds
+    ``_anisotropic_theta``, which reads no edge.  Raises DegenerateGeometry
+    when the total weight is too small or the moments overflow.
     """
-    w = graph.posterior
-    if graph.edge_count == 0 or not np.any(w > 0.0):
+    k = ISOTROPIC_FEATURES if gamma.is_isotropic else len(FEATURES)
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
+        total, *sums = (graph.feature_rows(k) @ graph.posterior).tolist()
+    if not total > 0.0:
         raise NoCorrespondences("all responsibilities are zero")
-    total = float(w.sum())
     if total < _MIN_TOTAL_WEIGHT:
         raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
-    (sx, sy), (mx, my) = graph.scan_e, graph.model_e
-    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
-        c_s = (float(w @ sx) / total, float(w @ sy) / total)
-        c_m = (float(w @ mx) / total, float(w @ my) / total)
-        mtx, mty = mx - c_m[0], my - c_m[1]
-        stx, sty = sx - c_s[0], sy - c_s[1]
-        wx, wy = w * mtx, w * mty
-        h = np.array([[wx @ stx, wx @ sty], [wy @ stx, wy @ sty]])
-        if gamma.is_isotropic:
-            moments = (h,)
-        else:
-            b01 = wx @ mty
-            moments = (h, np.array([[wx @ mtx, b01], [b01, wy @ mty]]))
-        # no value formed from the moments below exceeds this in size
-        size = 2.0 * sum(float(np.abs(m).sum()) for m in moments)
-    if not math.isfinite(size):
+    # the weighted means of the rows past "1" (FEATURES); s - center is delta + q
+    dx, dy, qx, qy, _, _, dq, cross, qq, *aniso = (v / total for v in sums)
+    # isotropic Gamma reads only A's trace and antisymmetric part, which the
+    # anisotropic rows it lacks do not change
+    _, qd, qxy, pd, cd = aniso or [0.0] * 5
+    bxx, byy, bxy = 0.5 * (qq + qd) - qx * qx, 0.5 * (qq - qd) - qy * qy, qxy - qx * qy
+    h = np.array([[0.5 * (dq + pd) - qx * dx + bxx, 0.5 * (cd - cross) - qx * dy + bxy],
+                  [0.5 * (cd + cross) - qy * dx + bxy, 0.5 * (dq - pd) - qy * dy + byy]])
+    moments = (h,) if gamma.is_isotropic else (h, np.array([[bxx, bxy], [bxy, byy]]))
+    # no value formed from the moments below exceeds this in size
+    if not math.isfinite(2.0 * sum(float(np.abs(m).sum()) for m in moments)):
         raise DegenerateGeometry("the weighted moments of the pairs overflow")
-    theta = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
+    turn = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
     if not gamma.is_isotropic:
-        theta = _anisotropic_theta(gamma, *moments, theta)
-    c, s = math.cos(theta), math.sin(theta)
-    return Pose(c_s[0] - (c * c_m[0] - s * c_m[1]),
-                c_s[1] - (s * c_m[0] + c * c_m[1]),
-                theta)
+        turn = _anisotropic_theta(gamma, *moments, turn)
+    # c_s - R c_m = t0 + mean(delta) - (R(turn) - I)(mean(q) + center - t0)
+    anchor, (a, b) = graph.anchor, _turn(turn)
+    vx, vy = qx + graph.center[0] - anchor.tx, qy + graph.center[1] - anchor.ty
+    return Pose(anchor.tx + dx - (a * vx - b * vy), anchor.ty + dy - (b * vx + a * vy),
+                anchor.theta + turn)
 
 
 def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
@@ -321,7 +326,15 @@ def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]
     n_p = graph.inlier_count
     if n_p == 0:
         raise NoInliers("every scan point is an outlier")
-    rx, ry = _residuals(graph, pose)
+    sx, sy = np.take(graph.scan.T, graph.scan_idx, axis=1)     # one gather per call
+    mx, my = np.take(graph.model.T, graph.model_idx, axis=1)
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    rx, ry = c * mx, s * mx             # pose(m), then s minus it, in place
+    rx -= s * my
+    ry += c * my
+    rx += pose.tx
+    ry += pose.ty
+    rx, ry = np.subtract(sx, rx, out=rx), np.subtract(sy, ry, out=ry)
     w = graph.posterior
     rxx = float(w @ (rx * rx))
     rxy = float(w @ (rx * ry))
@@ -330,17 +343,8 @@ def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]
 
 
 def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
-    """Align ``scan`` to ``model`` starting from ``pose0``.
-
-    Gates at ``pose0`` and takes the E-step there (which also yields the
-    log-likelihood), then sweeps: M-step, E-step at the new pose.  Stops
-    when the log-likelihood gain of one sweep falls below
-    ``config.convergence_epsilon`` or the iteration budget is exhausted;
-    with regating, a gain below it instead rebuilds the gate at that pose,
-    and the run stops only once the gate no longer changes.  SQUAREM
-    extrapolates every two sweeps unless ``config.gamma`` is nearly
-    singular.  Per-sweep cost is O(E).  ``oracles.dense_em_register`` runs
-    the same loop over its own dense steps.
+    """Align ``scan`` to ``model`` starting from ``pose0``, by the loop that
+    ``_run_em`` states, at O(E) per sweep.
 
     Raises EmptyInput for empty point sets, NoCorrespondences when the
     gate leaves no candidate pairs, DegenerateRow when the log-likelihood
@@ -359,17 +363,21 @@ def register(scan, model, pose0: Pose, config: EmConfig) -> RegistrationResult:
 def _run_em(scan, model, pose0: Pose, config: EmConfig,
             gate, e_step, m_step, covariance) -> RegistrationResult:
     """The EM loop over gates, on steps with the signatures of ``build_graph``,
-    ``e_step``, ``m_step`` and ``residual_covariance``.
+    ``e_step``, ``m_step`` and ``residual_covariance``: the one statement of
+    the contract that ``register`` and ``oracles.dense_em_register`` share.
 
-    On each gate, EM maps (an M-step, then the E-step at its pose) run until
-    one gains less than ``convergence_epsilon``.  Without regating that ends
-    the run.  With it, the gate is rebuilt at that pose, and the run ends
-    only once the rebuilt gate has the same edges.  In both modes, every two
-    maps on a gate are followed by one SQUAREM extrapolation, kept only when
-    it scores no lower, unless Gamma's eigenvalue ratio is below
-    ``_MIN_CONDITIONING``.  ``iterations`` counts M-steps; the trace holds
-    the initial log-likelihood, then the one at the pose held after each
-    M-step, on the gate in force at that M-step.
+    The run gates at ``pose0`` and takes the E-step there.  On each gate, EM
+    maps (an M-step, then the E-step at its pose) run until one gains less
+    than ``convergence_epsilon``.  Without ``regate_each_iteration`` that ends
+    the run, converged.  With it, the gate is rebuilt at that pose, and the
+    run converges only once the rebuilt gate has the same edges.  In both
+    modes, every two maps on a gate are followed by one SQUAREM extrapolation
+    (``_squarem``), kept only when it scores no lower, unless Gamma's
+    eigenvalue ratio is below ``_MIN_CONDITIONING``.  The budget running out,
+    or a drop on a fixed gate beyond twice ``_loglik_rounding``, ends the run
+    unconverged.  ``iterations`` counts M-steps; the trace holds the initial
+    log-likelihood, then the one at the pose held after each M-step, on the
+    gate in force at that M-step.
     """
     window = config.resolved_window()
     gamma, regate = config.gamma, config.regate_each_iteration
@@ -463,22 +471,29 @@ def _loglik_rounding(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> f
     """Bound on the rounding error of ``e_step``'s log-likelihood at ``pose``.
 
     A row's term is ``log prior_j + log sum_k exp(x_k)``, so errors in its
-    exponents ``x = -r^T Gamma r / 2`` move it by their posterior mean.  An
-    exponent errs by a few ulps of its own size, plus ``|Gamma r|`` times the
-    error of ``r = s - R m - t``, which is a few ulps of ``|s| + |m| + |t|``:
-    that cancellation dominates near the optimum for points far from the
-    origin.  The logs, exp and the sums add a few ulps of the row terms,
-    which the exponents' sizes and ``-log prior_j`` bound.  16 ulps covers
-    these with room.
+    exponents ``x = -r^T Gamma r / 2`` move it by their posterior mean.  As
+    ``c @ F`` (``_exponents``), ``x`` errs by up to about 25 ulps of the sum
+    of its expanded terms' sizes, which is below ``u^T |Gamma| u`` for ``u =
+    |delta| + |L| |q| + |d|``: far above ``|x|`` where the pose is far from
+    the anchor and ``r`` small.  Against ``s - R m - t`` from the input
+    points, ``r`` is off by a few ulps of ``|s| + |m| + |t0| + |t|`` (building
+    ``F``; turning by ``theta0``, then by ``theta - theta0``), taken as 16
+    ulps, ``err``; with ``u`` widened by ``err``, that moves ``x`` by at most
+    ``|Gamma| u`` times ``err``.  The logs, exp and the sums add a few ulps of
+    the row terms, which ``|x|`` and ``-log prior_j`` bound.
     """
-    rx, ry = _residuals(graph, pose)
-    (sx, sy), (mx, my) = graph.scan_e, graph.model_e
+    eps, anchor = float(np.finfo(float).eps), graph.anchor
+    a, b, dx, dy = _offset(graph, pose)
+    ex, ey, qx, qy = np.abs(graph.features[1:5])
+    err = 16.0 * eps * (np.abs(graph.scan[graph.scan_idx]).sum(axis=1)
+                        + np.abs(graph.model[graph.model_idx]).sum(axis=1)
+                        + (abs(pose.tx) + abs(pose.ty) + abs(anchor.tx) + abs(anchor.ty)))
+    ux = ex + abs(a) * qx + abs(b) * qy + (abs(dx) + err)
+    uy = ey + abs(b) * qx + abs(a) * qy + (abs(dy) + err)
+    g00, g01, g11 = abs(gamma.g00), abs(gamma.g01), abs(gamma.g11)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow forgives every drop
-        g_rx = gamma.g00 * rx + gamma.g01 * ry
-        g_ry = gamma.g01 * rx + gamma.g11 * ry
-        span = (np.abs(sx) + np.abs(sy) + np.abs(mx) + np.abs(my)
-                + (abs(pose.tx) + abs(pose.ty)))
-        size = 0.5 * (rx * g_rx + ry * g_ry) + (np.abs(g_rx) + np.abs(g_ry)) * span
-        log_prior = np.log(graph.prior[_nonempty_rows(graph)[0]])
-        bound = 16.0 * np.finfo(float).eps * (float(graph.posterior @ size) - log_prior.sum())
+        gx, gy = g00 * ux + g01 * uy, g01 * ux + g11 * uy          # |Gamma| u
+        size = 32.0 * eps * (ux * gx + uy * gy) + (gx + gy) * err
+        log_prior = np.log(graph.prior[graph.nonempty_rows[0]])
+        bound = float(graph.posterior @ size) - 16.0 * eps * log_prior.sum()
     return bound if math.isfinite(bound) else math.inf

@@ -154,7 +154,7 @@ class Pose:
         Accepts a single :class:`Point` (returning a :class:`Point`), one
         ``(2,)`` vector, or an ``(n, 2)`` array (returning arrays).  Every
         form computes ``(c x - s y + tx, s x + c y + ty)`` in that order, as
-        the E-step's residuals do, so ``s - pose(m)`` is exactly zero
+        the residual covariance does, so ``s - pose(m)`` is exactly zero
         wherever ``s`` was made as ``pose.apply(m)``.
         """
         c, s = math.cos(self.theta), math.sin(self.theta)

@@ -10,6 +10,7 @@ EM sums.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,12 @@ from .grid import GridIndex
 
 __all__ = ["MatchGraph", "build_graph", "dump_graph"]
 
+#: The rows of ``F``, with ``d = delta``: the squares of ``dx`` and ``dy`` stay
+#: apart, so that each meets its own entry of Gamma exactly.
+FEATURES = ("1", "dx", "dy", "qx", "qy", "dx^2", "dy^2", "d.q", "dx qy - dy qx", "q.q",
+            "dx dy", "qx^2 - qy^2", "qx qy", "dx qx - dy qy", "dx qy + dy qx")
+ISOTROPIC_FEATURES = 10     # the leading rows that isotropic precision reads
+
 
 @dataclass
 class MatchGraph:
@@ -27,22 +34,26 @@ class MatchGraph:
 
     The edge arrays are parallel and sorted by (scan_idx, model_idx);
     ``row_start[j]:row_start[j + 1]`` slices them for scan point ``j``.
-    ``scan_e`` and ``model_e`` hold each edge's two points, gathered once
-    here as C-contiguous ``(2, E)`` coordinate columns, so the E-step, M-step
-    and covariance unpack them as ``sx, sy = graph.scan_e`` and work on
-    contiguous x and y columns without re-gathering.
+    ``features`` holds the C-contiguous rows ``FEATURES`` of ``F``, per-edge
+    terms relative to the ``anchor`` (the gate pose): ``delta = s - anchor(m)``
+    and ``q = anchor(m) - center``.  At any pose an edge's residual is
+    ``delta + L q + d``, ``L`` and ``d`` set by the pose, so the E-step's
+    exponents are one ``c @ F`` and the M-step's sums one ``F @ w``.  The
+    first 10 rows are built here, the rest by ``feature_rows`` on first use.
     ``prior`` is uniform over each row, and the E-step reads it once per row,
     at the row's first edge: a non-uniform prior written into it is not
-    honoured.  ``posterior`` is the only mutable field; it is rewritten by
-    the E-step and owned by a single registration loop at a time.
+    honoured.  ``posterior`` is rewritten by the E-step and owned by a single
+    registration loop at a time; besides it, only ``features`` changes, once,
+    when it gains its anisotropic rows.
     """
 
     scan: np.ndarray        # (n, 2) scan points
     model: np.ndarray       # (m, 2) model points, untransformed
     scan_idx: np.ndarray    # (E,) int64, non-decreasing
     model_idx: np.ndarray   # (E,) int64, ascending within each row
-    scan_e: np.ndarray      # (2, E) scan[scan_idx].T, C-contiguous
-    model_e: np.ndarray     # (2, E) model[model_idx].T, untransformed, C-contiguous
+    anchor: Pose            # pose the features are relative to
+    center: tuple[float, float]  # mean of anchor(m) over the edges
+    features: np.ndarray    # (10 or 15, E) leading rows of F
     prior: np.ndarray       # (E,) uniform 1/|N(s_j)| per row
     posterior: np.ndarray   # (E,) responsibilities, initialized to prior
     row_start: np.ndarray   # (n + 1,) int64 offsets into the edge arrays
@@ -64,25 +75,67 @@ class MatchGraph:
         """|N(s_j)| for every scan point j."""
         return np.diff(self.row_start)
 
+    @functools.cached_property
+    def nonempty_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """First edge and edge count of every scan point holding an edge."""
+        counts = self.neighbor_counts
+        return self.row_start[:-1][counts > 0], counts[counts > 0]
+
     @property
     def inlier_count(self) -> int:
         """Scan points with at least one gated neighbor (n_P)."""
-        return int(np.count_nonzero(self.neighbor_counts))
+        return int(self.nonempty_rows[1].size)
 
     @classmethod
-    def from_edges(cls, scan, model, scan_idx, model_idx) -> "MatchGraph":
-        """Graph over edges sorted by (scan_idx, model_idx), with uniform priors per row."""
+    def from_edges(cls, scan, model, scan_idx, model_idx,
+                   anchor: Pose = Pose(0.0, 0.0, 0.0)) -> "MatchGraph":
+        """Graph over edges sorted by (scan_idx, model_idx), with uniform priors per
+        row and features relative to ``anchor``."""
         counts = np.bincount(scan_idx, minlength=scan.shape[0])
         prior = np.repeat(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0), counts)
+        f = np.empty((ISOTROPIC_FEATURES, scan_idx.shape[0]))  # filled row by row, in place
+        f[0] = 1.0
+        d, q = f[1:3], f[3:5]       # the indices are in range: "clip" takes no buffer
+        np.take(anchor.apply(model).T, model_idx, axis=1, out=q, mode="clip")
+        np.take(scan.T, scan_idx, axis=1, out=d, mode="clip")
+        d -= q
+        center = q.sum(axis=1) / max(q.shape[1], 1)
+        q -= center[:, None]
+        _fill_products(f)
         return cls(scan=scan, model=model, scan_idx=scan_idx, model_idx=model_idx,
-                   scan_e=np.take(scan.T, scan_idx, axis=1),
-                   model_e=np.take(model.T, model_idx, axis=1),
+                   anchor=anchor, center=tuple(center.tolist()), features=f,
                    prior=prior, posterior=prior.copy(),
                    row_start=np.concatenate(([0], np.cumsum(counts))))
+
+    def feature_rows(self, k: int) -> np.ndarray:
+        """``F[:k]``, building the rows past the first 10 on first use."""
+        if k > self.features.shape[0]:
+            full = np.empty((len(FEATURES), self.edge_count))
+            full[:5] = self.features[:5]
+            _fill_products(full)
+            self.features = full
+        return self.features[:k]
 
     def edge_set(self) -> set[tuple[int, int]]:
         """All (scan index, model index) pairs, for comparisons."""
         return set(zip(self.scan_idx.tolist(), self.model_idx.tolist()))
+
+
+def _fill_products(f: np.ndarray) -> None:
+    """Write the rows of ``f`` past the first 5 from ``delta`` and ``q`` in rows 1-4."""
+    d, q = f[1:3], f[3:5]
+    pair = np.empty_like(d)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces in the steps
+        np.multiply(d, d, out=f[5:7])
+        # rows a0 b0 + a1 b1 and a0 b0 - a1 b1
+        for plus, minus, a, b in ((9, 11, q, q), (7, 13, d, q), (14, 8, d, q[::-1])):
+            np.multiply(a, b, out=pair)
+            for row, op in ((plus, np.add), (minus, np.subtract)):
+                if row < f.shape[0]:
+                    op(pair[0], pair[1], out=f[row])
+        if f.shape[0] > ISOTROPIC_FEATURES:
+            np.multiply(f[1], f[2], out=f[10])
+            np.multiply(f[3], f[4], out=f[12])
 
 
 def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:
@@ -108,7 +161,7 @@ def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:
     # Sorting the unique (scan, model) keys themselves is cheaper than argsort.
     scan_idx, model_idx = np.divmod(np.sort(scan_idx * model.shape[0] + model_idx),
                                     model.shape[0])
-    return MatchGraph.from_edges(scan, model, scan_idx, model_idx)
+    return MatchGraph.from_edges(scan, model, scan_idx, model_idx, pose0)
 
 
 def dump_graph(graph: MatchGraph, destination) -> None:

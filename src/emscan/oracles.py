@@ -59,7 +59,7 @@ def _dense_gate(scan, model, pose, w) -> MatchGraph:
         raise EmptyInput("empty model")
     d = scan[:, None, :] - pose.apply(model)[None, :, :]
     adjacency = _within_radius(d[..., 0], d[..., 1], w)
-    return MatchGraph.from_edges(scan, model, *np.nonzero(adjacency))
+    return MatchGraph.from_edges(scan, model, *np.nonzero(adjacency), pose)
 
 
 def _dense(graph, values, fill) -> np.ndarray:

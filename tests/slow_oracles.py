@@ -3,7 +3,10 @@
 Each recomputes one library answer from first principles and shares none
 of its algebra: an edge-by-edge residual covariance, and a pose fit by grid
 search plus exact-derivative Newton descent on the weighted fit objective,
-and a point-file parser that walks the file one line at a time.
+and a point-file parser that walks the file one line at a time.  The
+exception is ``column_m_step``, the library's M-step algebra on gathered
+point columns instead of the feature matrix, against which the feature
+form's pose is checked.
 """
 
 import math
@@ -11,6 +14,7 @@ import math
 import numpy as np
 
 from emscan import DegenerateGeometry, MatchGraph, NoCorrespondences, NoInliers, Pose
+from emscan.em import _MIN_TOTAL_WEIGHT, _anisotropic_theta
 from emscan.oracles import _descend, _fit_objective
 
 
@@ -60,6 +64,42 @@ def numerical_m_step(graph: MatchGraph, gamma, *, angle_samples: int = 72) -> Po
                 if value < best_value:
                     best_y, best_value = y, value
     return _descend(scan_e, model_e, w, gamma, best_y)
+
+
+def column_m_step(graph: MatchGraph, gamma) -> Pose:
+    """The M-step on gathered x and y columns of the edges' points, centred
+    at their weighted centroids in the model's own frame."""
+    w = graph.posterior
+    if graph.edge_count == 0 or not np.any(w > 0.0):
+        raise NoCorrespondences("all responsibilities are zero")
+    total = float(w.sum())
+    if total < _MIN_TOTAL_WEIGHT:
+        raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
+    sx, sy = np.take(graph.scan.T, graph.scan_idx, axis=1)
+    mx, my = np.take(graph.model.T, graph.model_idx, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
+        c_s = (float(w @ sx) / total, float(w @ sy) / total)
+        c_m = (float(w @ mx) / total, float(w @ my) / total)
+        mtx, mty = mx - c_m[0], my - c_m[1]
+        stx, sty = sx - c_s[0], sy - c_s[1]
+        wx, wy = w * mtx, w * mty
+        h = np.array([[wx @ stx, wx @ sty], [wy @ stx, wy @ sty]])
+        if gamma.is_isotropic:
+            moments = (h,)
+        else:
+            b01 = wx @ mty
+            moments = (h, np.array([[wx @ mtx, b01], [b01, wy @ mty]]))
+        # no value formed from the moments below exceeds this in size
+        size = 2.0 * sum(float(np.abs(m).sum()) for m in moments)
+    if not math.isfinite(size):
+        raise DegenerateGeometry("the weighted moments of the pairs overflow")
+    theta = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
+    if not gamma.is_isotropic:
+        theta = _anisotropic_theta(gamma, *moments, theta)
+    c, s = math.cos(theta), math.sin(theta)
+    return Pose(c_s[0] - (c * c_m[0] - s * c_m[1]),
+                c_s[1] - (s * c_m[0] + c * c_m[1]),
+                theta)
 
 
 def line_by_line_load_points(path) -> np.ndarray:

@@ -363,6 +363,35 @@ class TestUsageErrors:
         assert main(["register", str(scan_path), str(model_path)]) == 1
         assert "EMSCAN_MAX_ITERS" in capsys.readouterr().err
 
+    def test_env_values_do_not_leak_between_calls(self, tmp_path, monkeypatch, capsys):
+        # The parser is built once per process, so each in-process call must
+        # read its own environment and nothing that an earlier call read.
+        from emscan import cli
+        scan_path, model_path, _ = write_scene(tmp_path)
+        argv = ["register", str(scan_path), str(model_path), "--sigma", "0.02", "--w", "0.3"]
+        envs = [{}, {"EMSCAN_MAX_ITERS": "2", "EMSCAN_REGATE": "on"},
+                {"EMSCAN_DEGREES": "1", "EMSCAN_POSE0": "0.1, 0, 2"}]
+        for name in [k for k in os.environ if k.startswith("EMSCAN_")]:
+            monkeypatch.delenv(name)
+
+        def record(env):
+            for name in {k for e in envs for k in e}:
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            code = cli.main(argv)
+            out = json.loads(capsys.readouterr().out)
+            out.pop("wall_time_s")
+            return code, out
+
+        firsts = []
+        for env in envs:
+            cli.build_parser.cache_clear()
+            firsts.append(record(env))
+        assert firsts[0] != firsts[1] != firsts[2] != firsts[0]
+        order = [1, 2, 0, 2, 1, 0]
+        assert [record(envs[k]) for k in order] == [firsts[k] for k in order]
+
     def test_bad_env_value_stops_only_its_subcommand(self, tmp_path):
         env = {"EMSCAN_SIZES": ""}
         synth = run_cli("synth", "--n", "10", "--out", tmp_path / "x", env_extra=env)

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from emscan import (
     wrap_angle,
 )
 from conftest import assert_pose_close, random_cloud, random_pose
-from slow_oracles import numerical_m_step, slow_residual_covariance
+from slow_oracles import column_m_step, numerical_m_step, slow_residual_covariance
 
 identity = Pose.identity()
 eye = PrecisionMatrix.identity()
@@ -224,6 +225,60 @@ def test_e_step_normalizes_rows_and_returns_loglik(scan, model, window, pose, ga
     assert loglik == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+@st.composite
+def _anchored_scene(draw):
+    """A graph gated at a random anchor: clouds up to 1 km from the origin,
+    radii from 1 mm to 10 m, and a pose near the anchor or up to pi and 10 m
+    away from it, as SQUAREM's trial poses may be."""
+    radius = 10.0 ** draw(st.floats(-3.0, 1.0))
+    offset = draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    model = np.add(offset, radius * draw(hnp.arrays(
+        np.float64, st.tuples(st.integers(1, 12), st.just(2)), elements=st.floats(-3.0, 3.0))))
+    anchor = Pose(*draw(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                                  st.floats(-math.pi, math.pi))))
+    noise = draw(hnp.arrays(np.float64, model.shape, elements=st.floats(-0.5, 0.5)))
+    g = build_graph(anchor.apply(model) + radius * noise, model, anchor, radius)
+    reach, turn = (radius, 0.1) if draw(st.booleans()) else (10.0, math.pi)
+    dx, dy, dt = draw(st.tuples(st.floats(-reach, reach), st.floats(-reach, reach),
+                                st.floats(-turn, turn)))
+    return g, Pose(anchor.tx + dx, anchor.ty + dy, anchor.theta + dt), radius
+
+
+def _exact_exponents(graph, pose, gamma):
+    """``-r^T Gamma r / 2`` per edge, in exact rational arithmetic on
+    ``r = s - R m - t`` with the float ``cos`` and ``sin`` of ``pose.theta``."""
+    c, s = Fraction(math.cos(pose.theta)), Fraction(math.sin(pose.theta))
+    tx, ty = Fraction(pose.tx), Fraction(pose.ty)
+    g00, g01, g11 = (Fraction(v) for v in (gamma.g00, gamma.g01, gamma.g11))
+    out = []
+    for j, k in zip(graph.scan_idx.tolist(), graph.model_idx.tolist()):
+        (sx, sy), (mx, my) = (map(Fraction, graph.scan[j].tolist()),
+                              map(Fraction, graph.model[k].tolist()))
+        rx, ry = sx - (c * mx - s * my + tx), sy - (s * mx + c * my + ty)
+        out.append(-(g00 * rx * rx + 2 * g01 * rx * ry + g11 * ry * ry) / 2)
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(scene=_anchored_scene(), anisotropic=st.booleans(), ratio=st.floats(1.0, 1e3),
+       axis=st.floats(0.0, math.pi))
+def test_feature_exponents_stay_within_the_rounding_bound(scene, anisotropic, ratio, axis):
+    g, pose, radius = scene
+    lam = (3.0 / radius) ** 2
+    rot = Pose(0.0, 0.0, axis).rotation()
+    gamma = (PrecisionMatrix.from_matrix(rot @ np.diag([lam, lam * ratio]) @ rot.T)
+             if anisotropic else PrecisionMatrix(lam, 0.0, lam))
+    expo = emscan.em._exponents(g, pose, gamma)
+    err = np.array([abs(float(Fraction(x) - exact))
+                    for x, exact in zip(expo.tolist(), _exact_exponents(g, pose, gamma))])
+    e_step(g, pose, gamma)
+    assert float(g.posterior @ err) <= emscan.em._loglik_rounding(g, pose, gamma)
+    for e in range(g.edge_count):   # all the weight on one edge
+        g.posterior[:] = 0.0
+        g.posterior[e] = 1.0
+        assert err[e] <= emscan.em._loglik_rounding(g, pose, gamma)
+
+
 _SMALLEST_NORMAL = 2.0 ** -1022
 # Exponent gaps below a row's best edge: near log(2**-1021) = -707.7, where
 # exp leaves its fast path, log(2**-1022) = -708.4, the smallest normal
@@ -400,6 +455,43 @@ def test_anisotropic_m_step_is_stationary_and_no_worse(g, gamma):
     assert f_fit <= f_seed + 1e-10 * max(1.0, f_seed)
     f_slow = objective(numerical_m_step(g, gamma).to_array())
     assert f_fit <= f_slow + 1e-10 * max(1.0, f_slow)
+
+
+@st.composite
+def _anchored_weighted_graph(draw):
+    """A graph gated at the identity or near the truth, up to 100 m from the
+    origin, with random posteriors of which some are flushed to zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    model = rng.uniform(-3.0, 3.0, (draw(st.integers(3, 25)), 2)) + draw(
+        st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+    truth = Pose(*draw(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3),
+                                 st.floats(-math.pi, math.pi))))
+    anchor = truth.compose(Pose(*draw(st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1),
+                                                st.floats(-0.1, 0.1)))))
+    g = build_graph(truth.apply(model) + rng.uniform(-0.1, 0.1, model.shape), model,
+                    draw(st.sampled_from([identity, anchor])), draw(st.floats(0.3, 3.0)))
+    g.posterior[:] = rng.uniform(0.0, 1.0, g.edge_count) * (rng.uniform(size=g.edge_count)
+                                                           < draw(st.floats(0.2, 1.0)))
+    return g
+
+
+@settings(deadline=None, max_examples=150)
+@given(g=_anchored_weighted_graph(), anisotropic=st.booleans(), gamma=_oriented_gamma(1e3))
+def test_m_step_matches_the_column_m_step(g, anisotropic, gamma):
+    gamma = gamma if anisotropic else PrecisionMatrix.isotropic(0.05)
+    # the weighted pairs must pin the rotation: the model spreads both ways,
+    # and the cross moment that the isotropic fit reads is not lost in rounding
+    w, total = g.posterior, float(g.posterior.sum())
+    assume(total > 0.1)
+    mt, st_ = (pts - w @ pts / total for pts in (g.model[g.model_idx], g.scan[g.scan_idx]))
+    a, b = (mt.T * w) @ st_, (mt.T * w) @ mt
+    assume(np.linalg.eigvalsh(b)[0] > 1e-2 * total)
+    assume(math.hypot(a[0, 1] - a[1, 0], a[0, 0] + a[1, 1]) > 1e-2 * total)
+    fast, column = m_step(g, gamma), column_m_step(g, gamma)
+    scale = 1.0 + float(np.abs(g.model).max())
+    assert abs(fast.tx - column.tx) <= 1e-12 * scale
+    assert abs(fast.ty - column.ty) <= 1e-12 * scale
+    assert abs(wrap_angle(fast.theta - column.theta)) <= 1e-12
 
 
 @settings(deadline=None, max_examples=40)
