@@ -484,7 +484,7 @@ def _loglik_rounding(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> f
     """
     eps, anchor = float(np.finfo(float).eps), graph.anchor
     a, b, dx, dy = _offset(graph, pose)
-    ex, ey, qx, qy = np.abs(graph.features[1:5])
+    ex, ey, qx, qy = np.abs(graph.feature_rows(5)[1:])
     err = 16.0 * eps * (np.abs(graph.scan[graph.scan_idx]).sum(axis=1)
                         + np.abs(graph.model[graph.model_idx]).sum(axis=1)
                         + (abs(pose.tx) + abs(pose.ty) + abs(anchor.tx) + abs(anchor.ty)))

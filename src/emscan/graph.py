@@ -38,13 +38,13 @@ class MatchGraph:
     terms relative to the ``anchor`` (the gate pose): ``delta = s - anchor(m)``
     and ``q = anchor(m) - center``.  At any pose an edge's residual is
     ``delta + L q + d``, ``L`` and ``d`` set by the pose, so the E-step's
-    exponents are one ``c @ F`` and the M-step's sums one ``F @ w``.  The
-    first 10 rows are built here, the rest by ``feature_rows`` on first use.
+    exponents are one ``c @ F`` and the M-step's sums one ``F @ w``.
+    ``feature_rows`` builds them on first use: the first 10, or all 15 once
+    anisotropic precision asks, so a gate that is only compared builds none.
     ``prior`` is uniform over each row, and the E-step reads it once per row,
     at the row's first edge: a non-uniform prior written into it is not
     honoured.  ``posterior`` is rewritten by the E-step and owned by a single
-    registration loop at a time; besides it, only ``features`` changes, once,
-    when it gains its anisotropic rows.
+    registration loop at a time; besides it, only ``features`` changes.
     """
 
     scan: np.ndarray        # (n, 2) scan points
@@ -53,10 +53,10 @@ class MatchGraph:
     model_idx: np.ndarray   # (E,) int64, ascending within each row
     anchor: Pose            # pose the features are relative to
     center: tuple[float, float]  # mean of anchor(m) over the edges
-    features: np.ndarray    # (10 or 15, E) leading rows of F
     prior: np.ndarray       # (E,) uniform 1/|N(s_j)| per row
     posterior: np.ndarray   # (E,) responsibilities, initialized to prior
     row_start: np.ndarray   # (n + 1,) int64 offsets into the edge arrays
+    features: np.ndarray | None = None  # (10 or 15, E) leading rows of F, once built
 
     @property
     def n_scan(self) -> int:
@@ -93,27 +93,31 @@ class MatchGraph:
         row and features relative to ``anchor``."""
         counts = np.bincount(scan_idx, minlength=scan.shape[0])
         prior = np.repeat(np.where(counts > 0, 1.0 / np.maximum(counts, 1), 0.0), counts)
-        f = np.empty((ISOTROPIC_FEATURES, scan_idx.shape[0]))  # filled row by row, in place
-        f[0] = 1.0
-        d, q = f[1:3], f[3:5]       # the indices are in range: "clip" takes no buffer
-        np.take(anchor.apply(model).T, model_idx, axis=1, out=q, mode="clip")
-        np.take(scan.T, scan_idx, axis=1, out=d, mode="clip")
-        d -= q
-        center = q.sum(axis=1) / max(q.shape[1], 1)
-        q -= center[:, None]
-        _fill_products(f)
+        uses = np.bincount(model_idx, minlength=model.shape[0])
+        center = anchor.apply(uses @ model / max(model_idx.shape[0], 1))
         return cls(scan=scan, model=model, scan_idx=scan_idx, model_idx=model_idx,
-                   anchor=anchor, center=tuple(center.tolist()), features=f,
+                   anchor=anchor, center=tuple(center.tolist()),
                    prior=prior, posterior=prior.copy(),
                    row_start=np.concatenate(([0], np.cumsum(counts))))
 
     def feature_rows(self, k: int) -> np.ndarray:
-        """``F[:k]``, building the rows past the first 10 on first use."""
-        if k > self.features.shape[0]:
-            full = np.empty((len(FEATURES), self.edge_count))
-            full[:5] = self.features[:5]
-            _fill_products(full)
-            self.features = full
+        """``F[:k]``, building the rows on first use: the first 10, or all 15."""
+        built = 0 if self.features is None else self.features.shape[0]
+        if k > built:
+            f = np.empty((ISOTROPIC_FEATURES if k <= ISOTROPIC_FEATURES else len(FEATURES),
+                          self.edge_count))             # filled row by row, in place
+            if built:
+                f[:5] = self.features[:5]
+            else:
+                f[0] = 1.0
+                d, q = f[1:3], f[3:5]   # the indices are in range: "clip" takes no buffer
+                np.take(self.anchor.apply(self.model).T, self.model_idx, axis=1, out=q,
+                        mode="clip")
+                np.take(self.scan.T, self.scan_idx, axis=1, out=d, mode="clip")
+                d -= q
+                q -= np.reshape(self.center, (2, 1))
+            _fill_products(f)
+            self.features = f
         return self.features[:k]
 
     def edge_set(self) -> set[tuple[int, int]]:
