@@ -56,8 +56,7 @@ _MIN_TOTAL_WEIGHT = 1e-12
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
 _NEWTON_MAX_STEPS = 16
-_MAX_TURN = math.pi / 8
-#: Rounding error of the rotation objective's normalized slope.
+#: The normalized drop per radian by which the rotation solve's turn must beat its seed.
 _SLOPE_ROUNDING = 8.0 * np.finfo(float).eps
 #: Smallest eigenvalue ratio of Gamma at which EM is extrapolated: below sqrt(eps)
 #: a pose direction lies under the objective's rounding, which extrapolating amplifies.
@@ -86,7 +85,8 @@ class EmConfig:
             raise TypeError("gamma must be a PrecisionMatrix")
         if self.window_w is not None and not 0.0 < self.window_w < math.inf:
             raise ValueError(f"window_w must be finite and > 0, got {self.window_w}")
-        if not isinstance(self.max_iterations, numbers.Integral):
+        if (isinstance(self.max_iterations, bool)
+                or not isinstance(self.max_iterations, numbers.Integral)):
             raise TypeError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
@@ -94,6 +94,9 @@ class EmConfig:
             raise ValueError(
                 f"convergence_epsilon must be > 0, got {self.convergence_epsilon}"
             )
+        if not isinstance(self.regate_each_iteration, (bool, np.bool_)):
+            raise TypeError("regate_each_iteration must be a bool, "
+                            f"got {self.regate_each_iteration!r}")
 
     @classmethod
     def isotropic(cls, sigma: float, **kwargs) -> "EmConfig":
@@ -263,12 +266,16 @@ def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
 def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
     """Global minimum of ``f(theta) = tr(Gamma R B R^T) - 2 tr(Gamma R A)``.
 
-    Scaled and up to a constant, ``f = u cos 2theta + v sin 2theta - 2 (p cos
-    theta + q sin theta)`` with ``|u| + |v| + |p| + |q| = 1``; its critical
-    points are the unit-circle roots of a quartic in ``exp(i theta)``.  Newton
-    descents start from ``seed`` and from each root's angle; one replaces the
-    best so far only when lower by more than its rounding error, so the
-    result is never above ``f(seed)``.
+    Scaled and up to a constant, ``f = x^T M x - 2 beta^T x`` on the unit circle
+    ``x = (cos theta, sin theta)``, ``M = [[u, v], [v, -u]]``, ``beta = (p, q)`` and
+    ``|u| + |v| + |p| + |q| = 1``: a trust-region subproblem.  On the eigenbasis of ``M``,
+    eigenvalues ``+-rho`` with the first along ``phi = atan2(v, u) / 2``, ``beta`` is
+    ``(b1, b2)`` and the minimizer ``x = (b1 / (nu + 2 rho), b2 / nu)``, at the ``nu > 0``
+    where ``1 / |x| - 1``, concave and increasing, is 0 (Moré & Sorensen, SIAM J. Sci.
+    Stat. Comput. 1983): Newton climbs to it from below.  The smaller entry of ``x`` is
+    well conditioned; the other follows from ``|x| = 1``.  At ``b2 = 0``, ``|b1| <= 2 rho``,
+    ``nu = 0``: of the minima ``phi +- acos(b1 / 2 rho)`` the seed's side is taken.  The
+    result replaces ``seed`` only when lower by more than its rounding error.
     """
     # Gamma scaled by the power of two that puts its largest entry in [0.5, 1):
     # exact, so ``coef`` keeps its normalized value but cannot overflow.
@@ -280,39 +287,36 @@ def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
                      a[0, 0] * g00 + a[0, 1] * g01 + a[1, 0] * g01 + a[1, 1] * g11,
                      a[0, 0] * g01 + a[0, 1] * g11 - a[1, 0] * g00 - a[1, 1] * g01])
     u, v, p, q = (coef / (np.abs(coef).sum() or 1.0)).tolist()    # all zero: f is flat
-    starts = [seed]
-    if math.hypot(u, v) > _SLOPE_ROUNDING:      # else the isotropic seed is exact
-        quartic = [complex(v, u), -complex(q, p), 0.0, -complex(q, -p), complex(v, -u)]
-        starts += np.angle(np.roots(quartic)).tolist()
-    best = seed
-    for start in starts:
-        theta = _descend_theta(u, v, p, q, start)
-        half, mid = 0.5 * (theta - best), 0.5 * (theta + best)
-        # f(theta) - f(best) by sum-to-product, free of cancellation in f
-        rise = (2.0 * math.sin(2.0 * half) * (v * math.cos(2.0 * mid) - u * math.sin(2.0 * mid))
-                + 4.0 * math.sin(half) * (p * math.sin(mid) - q * math.cos(mid)))
-        if rise < -_SLOPE_ROUNDING * abs(theta - best):
-            best = theta
-    return best
-
-
-def _descend_theta(u, v, p, q, theta: float) -> float:
-    """Newton descent on ``f``, taking a ``_MAX_TURN`` step downhill where the
-    curvature is not positive or the Newton step is longer.  Stops once the
-    slope is within its rounding error or the step underflows."""
-    for _ in range(_NEWTON_MAX_STEPS):
-        c, s = math.cos(theta), math.sin(theta)
-        c2, s2 = c * c - s * s, 2.0 * s * c
-        slope = v * c2 - u * s2 + p * s - q * c                 # f'/2
-        if abs(slope) <= _SLOPE_ROUNDING:
-            break
-        curv = p * c + q * s - 2.0 * (u * c2 + v * s2)          # f''/2
-        step = -slope / curv if curv > 0.0 else -math.copysign(_MAX_TURN, slope)
-        step = max(-_MAX_TURN, min(_MAX_TURN, step))
-        if theta + step == theta:
-            break
-        theta += step
-    return theta
+    rho, phi = math.hypot(u, v), 0.5 * math.atan2(v, u)
+    b1, b2 = p * math.cos(phi) + q * math.sin(phi), q * math.cos(phi) - p * math.sin(phi)
+    if b2 == 0.0 and abs(b1) <= 2.0 * rho:      # rho is 0 here only where f is flat
+        turn = math.copysign(math.acos(b1 / (2.0 * rho or 1.0)), math.sin(seed - phi))
+    else:
+        # Lower bounds on the root: |x2| <= 1, |x| >= |beta| / (nu + 2 rho) and, near the fold
+        # |b1| = 2 rho, a term of b1^2 nu^3 + rho gap nu^2 >= 4 rho^3 b2^2 reaching half of it.
+        nu = max(abs(b2), math.hypot(b1, b2) - 2.0 * rho)
+        if b1 and rho:
+            gap = (2.0 * rho - abs(b1)) * (2.0 * rho + abs(b1))
+            by_square = abs(b2) * math.sqrt(2.0 * rho * rho / gap) if gap > 0.0 else math.inf
+            nu = max(nu, min(rho * (math.sqrt(2.0) * abs(b2 / b1)) ** (2.0 / 3.0), by_square))
+        for _ in range(_NEWTON_MAX_STEPS):
+            x1, x2 = b1 / (nu + 2.0 * rho), b2 / nu
+            norm = math.hypot(x1, x2)
+            step = (norm - 1.0) * norm * norm / (x1 * x1 / (nu + 2.0 * rho) + x2 * x2 / nu)
+            if not nu + step > nu:
+                break
+            nu += step
+        if abs(x1) <= abs(x2):
+            x2 = math.copysign(math.sqrt(1.0 - x1 * x1), b2)
+        else:
+            x1 = math.copysign(math.sqrt(1.0 - x2 * x2), b1)
+        turn = math.atan2(x2, x1)
+    theta = seed + math.remainder(phi + turn - seed, math.tau)
+    half, mid = 0.5 * (theta - seed), 0.5 * (theta + seed)
+    # f(theta) - f(seed) by sum-to-product, free of cancellation in f
+    rise = (2.0 * math.sin(2.0 * half) * (v * math.cos(2.0 * mid) - u * math.sin(2.0 * mid))
+            + 4.0 * math.sin(half) * (p * math.sin(mid) - q * math.cos(mid)))
+    return theta if rise < -_SLOPE_ROUNDING * abs(theta - seed) else seed
 
 
 def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]:

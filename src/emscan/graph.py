@@ -102,20 +102,15 @@ class MatchGraph:
 
     def feature_rows(self, k: int) -> np.ndarray:
         """``F[:k]``, building the rows on first use: the first 10, or all 15."""
-        built = 0 if self.features is None else self.features.shape[0]
-        if k > built:
+        if self.features is None or k > self.features.shape[0]:
             f = np.empty((ISOTROPIC_FEATURES if k <= ISOTROPIC_FEATURES else len(FEATURES),
                           self.edge_count))             # filled row by row, in place
-            if built:
-                f[:5] = self.features[:5]
-            else:
-                f[0] = 1.0
-                d, q = f[1:3], f[3:5]   # the indices are in range: "clip" takes no buffer
-                np.take(self.anchor.apply(self.model).T, self.model_idx, axis=1, out=q,
-                        mode="clip")
-                np.take(self.scan.T, self.scan_idx, axis=1, out=d, mode="clip")
-                d -= q
-                q -= np.reshape(self.center, (2, 1))
+            f[0] = 1.0
+            d, q = f[1:3], f[3:5]   # the indices are in range: "clip" takes no buffer
+            np.take(self.anchor.apply(self.model).T, self.model_idx, axis=1, out=q, mode="clip")
+            np.take(self.scan.T, self.scan_idx, axis=1, out=d, mode="clip")
+            d -= q
+            q -= np.reshape(self.center, (2, 1))
             _fill_products(f)
             self.features = f
         return self.features[:k]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import emscan.em
@@ -457,6 +457,74 @@ def test_anisotropic_m_step_is_stationary_and_no_worse(g, gamma):
     assert f_fit <= f_slow + 1e-10 * max(1.0, f_slow)
 
 
+def _rotation_objective(gamma, a, b, theta):
+    """``tr(Gamma R B R^T) - 2 tr(Gamma R A)`` at each angle of ``theta``, directly."""
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.moveaxis(np.array([[c, -s], [s, c]]), -1, 0)
+    g = gamma.as_matrix()
+    return (np.einsum("ij,nji->n", g, rot @ b @ rot.transpose(0, 2, 1))
+            - 2.0 * np.einsum("ij,nji->n", g, rot @ a))
+
+
+@st.composite
+def _rotation_hard_case(draw):
+    """``(gamma, A, B, seed)`` near the hard cases of the rotation solve.
+
+    With ``Gamma = diag(1, r)``, ``B = diag(2 d, 0)`` and ``A = [[a00, 0], [a10,
+    0]]``, the objective is ``u cos 2theta - 2 (b1 cos theta + b2 sin theta)``
+    up to a constant, with ``u = (1 - r) d``, ``b1 = a00`` and ``b2 = -a10``: ``b2``
+    is put at 0, at a subnormal or at a tiny value, ``|b1|`` at ``2 u`` to
+    within 1e-9 or anywhere, and ``u`` (rho) or ``b1`` (beta) may shrink to 0.
+    All three matrices are then turned alike, which leaves the objective as it
+    is up to rounding."""
+    r = draw(st.floats(1e-8, 0.5))
+    d = draw(st.sampled_from([1.0, 1e-9, 1e-100, 0.0]))
+    u = (1.0 - r) * d
+    sign = st.sampled_from([-1.0, 1.0])
+    a00 = draw(st.one_of(
+        st.tuples(sign, st.floats(-1e-9, 1e-9)).map(lambda f: f[0] * 2.0 * u * (1.0 + f[1])),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0).map(lambda x: 1e-12 * x),
+        st.just(0.0)))
+    b2 = draw(st.one_of(st.sampled_from([0.0, 1e-310, 5e-324]),
+                        st.floats(-300.0, -8.0).map(lambda k: 10.0 ** k)))
+    a10 = draw(sign) * b2
+    rot = Pose(0.0, 0.0, draw(st.one_of(st.just(0.0), st.floats(0.0, math.pi)))).rotation()
+    gamma = PrecisionMatrix.from_matrix(rot @ np.diag([1.0, r]) @ rot.T)
+    a = rot @ np.array([[a00, 0.0], [a10, 0.0]]) @ rot.T
+    b = rot @ np.diag([2.0 * d, 0.0]) @ rot.T
+    # the isotropic fit, as m_step seeds the solve
+    return gamma, a, b, math.atan2(a[0, 1] - a[1, 0], a[0, 0] + a[1, 1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_rotation_hard_case())
+@example(case=(PrecisionMatrix(1.0, 0.0, 0.5), np.array([[0.2, 0.0], [1e-310, 0.0]]),
+               np.diag([2.0, 0.0]), 0.0))
+def test_rotation_solve_is_global_near_its_hard_cases(case):
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    gamma, a, b, seed = case
+    theta = emscan.em._anisotropic_theta(gamma, a, b, seed)
+    # an independent minimum: a dense grid, its two lowest local minima (f
+    # has at most two) polished on the grid cells beside them
+    grid = np.linspace(-math.pi, math.pi, 2049)
+    f_grid = _rotation_objective(gamma, a, b, grid)
+    f_min = float(f_grid.min())
+    local = np.flatnonzero((f_grid <= np.roll(f_grid, 1)) & (f_grid <= np.roll(f_grid, -1)))
+    for k in local[np.argsort(f_grid[local])[:2]]:
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        polished = minimize_scalar(lambda t: _rotation_objective(gamma, a, b, np.array([t]))[0],
+                                   bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
+        f_min = min(f_min, float(polished.fun))
+    # relative to the size of f's terms, plus a floor where their products
+    # with Gamma underflow
+    g_size = float(np.abs(gamma.as_matrix()).sum())
+    tol = g_size * (1e-12 * (np.abs(a).sum() + np.abs(b).sum()) + 2.0 ** -1060)
+    f_theta, f_seed = _rotation_objective(gamma, a, b, np.array([theta, seed]))
+    assert f_theta <= f_min + tol
+    assert f_theta <= f_seed + tol
+
+
 @st.composite
 def _anchored_weighted_graph(draw):
     """A graph gated at the identity or near the truth, up to 100 m from the
@@ -716,6 +784,19 @@ class TestEmConfig:
                                     convergence_epsilon=1e-300)
         result = register(scan, model, identity, config)
         assert result.iterations == 3 and not result.converged
+
+    @pytest.mark.parametrize("budget", [True, False, np.True_])
+    def test_iteration_budget_is_not_a_bool(self, budget):
+        # bool is an Integral, so True would pass as a one-M-step budget
+        with pytest.raises(TypeError, match="max_iterations"):
+            EmConfig.isotropic(0.1, max_iterations=budget)
+
+    @pytest.mark.parametrize("regate", ["false", "", 0, 1, None])
+    def test_regating_switch_must_be_a_bool(self, regate):
+        with pytest.raises(TypeError, match="regate_each_iteration"):
+            EmConfig.isotropic(0.1, regate_each_iteration=regate)
+        for switch in (True, False, np.True_):
+            assert EmConfig.isotropic(0.1, regate_each_iteration=switch)
 
 
 class TestFixedPointRegating:
