@@ -14,6 +14,6 @@ rows, slope = run_scaling(sizes, repeats=3, seed=0)
 
 print(f"{'n':>6}  {'ms/iteration':>13}  {'sweeps':>7}")
 for row in rows:
-    print(f"{row.n:>6}  {row.mean_ms_per_iteration:>13.2f}  {row.mean_iterations:>7.1f}")
+    print(f"{row.n:>6}  {row.ms_per_iteration:>13.2f}  {row.iterations:>7.1f}")
 print(f"\nlog-log slope: {slope:.3f}  (1.0 is ideal linear scaling)")
 print("sweep counts stay flat, so total cost is also linear for tracking-style scenes")

@@ -5,6 +5,8 @@ grows, so gated neighborhoods stay bounded and the per-call cost should
 grow linearly.  Times come from a monotonic clock and are divided by the
 sweep count to separate the per-sweep cost from iteration-count variance;
 a sweep's share includes the E-steps that score SQUAREM's trial poses.
+Each size reports the median over its repeats, so one repeat slowed by
+the machine does not move its row or the slope.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ _PERTURBATION = Pose(0.05, -0.03, 0.001)
 @dataclass(frozen=True)
 class BenchRow:
     n: int
-    mean_ms_per_iteration: float
-    mean_iterations: float
+    ms_per_iteration: float     # median over the repeats
+    iterations: float           # median over the repeats
 
 
 def scaling_scene(n: int, seed: int, density: float = DEFAULT_DENSITY,
@@ -53,7 +55,7 @@ def run_scaling(sizes, repeats: int = 3, seed: int = 0,
                 window: float = DEFAULT_WINDOW) -> tuple[list[BenchRow], float | None]:
     """Benchmark each size; returns the rows and the log-log slope.
 
-    The slope is fit by least squares on log(mean ms/iteration) against
+    The slope is fit by least squares on log(median ms/iteration) against
     log(n) and is None when fewer than two sizes are given.  Repeats are
     seeded individually, so results are reproducible run to run.  Raises
     ValueError unless ``repeats >= 1``, the sizes strictly ascend and the
@@ -94,8 +96,8 @@ def run_scaling(sizes, repeats: int = 3, seed: int = 0,
     rows = [
         BenchRow(
             n=n,
-            mean_ms_per_iteration=float(np.mean(per_iter_ms[n])),
-            mean_iterations=float(np.mean(iteration_counts[n])),
+            ms_per_iteration=float(np.median(per_iter_ms[n])),
+            iterations=float(np.median(iteration_counts[n])),
         )
         for n in sizes
     ]
@@ -103,7 +105,7 @@ def run_scaling(sizes, repeats: int = 3, seed: int = 0,
     if len(sizes) >= 2:
         slope = float(np.polyfit(
             np.log([row.n for row in rows]),
-            np.log([row.mean_ms_per_iteration for row in rows]),
+            np.log([row.ms_per_iteration for row in rows]),
             1,
         )[0])
     return rows, slope

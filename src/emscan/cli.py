@@ -254,7 +254,7 @@ def cmd_bench(args) -> int:
     )
     print(f"{'N':>8}  {'ms/iteration':>14}  {'iterations':>10}")
     for row in rows:
-        print(f"{row.n:>8}  {row.mean_ms_per_iteration:>14.3f}  {row.mean_iterations:>10.1f}")
+        print(f"{row.n:>8}  {row.ms_per_iteration:>14.3f}  {row.iterations:>10.1f}")
     if slope is not None:
         print(f"log-log slope: {slope:.3f}")
     return EXIT_OK

@@ -10,11 +10,11 @@ when the loop stops, regates and extrapolates:
   Mahalanobis residual sum: closed form for isotropic precision, else a
   scalar minimization over the rotation from two weighted 2x2 moments.
 
-Both read the graph's feature matrix, one product per step, so a sweep costs
-O(E) over the gated edges, which is O(n) in the scan size for
-bounded-density scenes.  After convergence the residual covariance is
-the responsibility-weighted average outer product of the residuals over
-the n_P scan points that have at least one correspondence.
+Both read the graph's five feature rows with a few matrix products, so a
+sweep costs O(E) over the gated edges, which is O(n) in the scan size for
+bounded-density scenes.  After convergence the residual covariance is the
+responsibility-weighted average outer product of the residuals over the n_P
+scan points that have at least one correspondence.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NoInliers,
 )
 from .geometry import Pose, PrecisionMatrix, as_point_array
-from .graph import FEATURES, ISOTROPIC_FEATURES, MatchGraph, build_graph
+from .graph import MatchGraph, build_graph
 
 __all__ = [
     "EmConfig",
@@ -56,6 +56,8 @@ _MIN_TOTAL_WEIGHT = 1e-12
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
 _NEWTON_MAX_STEPS = 16
+#: Sums and negates the two squared rows of ``U r`` in one product.
+_MINUS_ONES = np.array([-1.0, -1.0])
 #: The normalized drop per radian by which the rotation solve's turn must beat its seed.
 _SLOPE_ROUNDING = 8.0 * np.finfo(float).eps
 #: Smallest eigenvalue ratio of Gamma at which EM is extrapolated: below sqrt(eps)
@@ -153,27 +155,24 @@ def _offset(graph: MatchGraph, pose: Pose) -> tuple[float, float, float, float]:
 
 
 def _exponents(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> np.ndarray:
-    """Every edge's exponent ``-r^T Gamma r / 2`` at ``pose``, as one ``c @ F``.
+    """Every edge's exponent ``-r^T Gamma r / 2`` at ``pose``, as ``-|U r|^2 <= 0``.
 
-    ``c`` expands ``r^T Gamma r`` over ``r = delta + L q + d`` (``_offset``) into
-    the feature rows: 10 terms for isotropic ``gamma``, else 15.  The terms
-    can reach ``|Gamma| |delta|^2`` where ``r`` is small, so a ``gamma`` above
-    2**512 is scaled by an exact power of two, undone on the exponents.
+    ``U`` is the upper-triangular factor of ``Gamma / 2``, ``U^T U = Gamma / 2``,
+    and ``U r`` over ``r = delta + L q + d`` (``_offset``) is one ``(2, 5)``
+    product with the features, the same for every ``gamma``.  Where ``Gamma``
+    is nearly singular, ``g11 / 2 - u01^2`` cancels and may round below 0:
+    ``u11`` is then 0.  ``|U r|^2`` overflows to ``inf`` only where the
+    exponent itself is below ``-max float``.
     """
     a, b, dx, dy = _offset(graph, pose)
-    scale = max(0, math.frexp(max(gamma.g00, gamma.g11))[1] - 512)
-    g00, g01, g11 = (math.ldexp(g, -scale) for g in (gamma.g00, gamma.g01, gamma.g11))
-    hx, hy, gs = g00 * dx + g01 * dy, g01 * dx + g11 * dy, 0.25 * g00 + 0.25 * g11
-    c = [-0.5 * (dx * hx + dy * hy), -hx, -hy, a * hx + b * hy, a * hy - b * hx,
-         -0.5 * g00, -0.5 * g11, 2.0 * a * gs, -2.0 * b * gs, -(a * a + b * b) * gs]
-    if not gamma.is_isotropic:
-        gd, ab, a2b2 = 0.25 * g00 - 0.25 * g11, a * b, a * a - b * b
-        c += [-g01, -a2b2 * gd - ab * g01, 4.0 * ab * gd - a2b2 * g01,
-              2.0 * a * gd + b * g01, a * g01 - 2.0 * b * gd]
-    expo = np.array(c) @ graph.feature_rows(len(c))
-    if scale:
-        expo *= math.ldexp(1.0, scale)
-    return expo
+    u00 = math.sqrt(gamma.g00) * math.sqrt(0.5)     # not 0 where g00 / 2 underflows
+    u01 = 0.5 * gamma.g01 / u00
+    u11 = math.sqrt(max(0.5 * gamma.g11 - u01 * u01, 0.0))
+    # U times the rows of r = [[dx, 1, 0, -a, b], [dy, 0, 1, -b, -a]] @ F
+    ur = np.array([[u00 * dx + u01 * dy, u00, u01, -(u00 * a + u01 * b), u00 * b - u01 * a],
+                   [u11 * dy, 0.0, u11, -u11 * b, -u11 * a]]) @ graph.features
+    ur *= ur
+    return _MINUS_ONES @ ur
 
 
 def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
@@ -224,38 +223,36 @@ def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
 def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
     """Pose minimizing ``sum_e posterior_e * ||s_e - T(m_e, y)||^2_Gamma``.
 
-    One product ``F @ w`` of the features with the posterior gives the total
-    weight, then, in the anchor's frame, the weighted centroids and moments
-    ``A = sum_e w_e (m_e - c_m)(s_e - c_s)^T`` and ``B = sum_e w_e (m_e -
-    c_m)(m_e - c_m)^T``.  The best translation for a turn ``R`` from the
-    anchor is ``c_s - R c_m``, leaving ``f = tr(Gamma R B R^T) - 2 tr(Gamma R
-    A)``.  For isotropic ``gamma`` the first term is constant and
-    ``atan2(A01 - A10, A00 + A11)`` is exact; otherwise it seeds
-    ``_anisotropic_theta``, which reads no edge.  Raises DegenerateGeometry
-    when the total weight is too small or the moments overflow.
+    In the anchor's frame, ``F @ w`` gives the total weight and the weighted
+    centroids, and one ``(q w) @ [delta; q]^T`` the weighted moments ``A =
+    sum_e w_e (m_e - c_m)(s_e - c_s)^T`` and ``B = sum_e w_e (m_e - c_m)(m_e -
+    c_m)^T``.  The best translation for a turn ``R`` from the anchor is ``c_s
+    - R c_m``, leaving ``f = tr(Gamma R B R^T) - 2 tr(Gamma R A)``.  For
+    isotropic ``gamma`` the first term is constant and ``atan2(A01 - A10, A00
+    + A11)`` is exact; otherwise it seeds ``_anisotropic_theta``, which reads
+    no edge.  Raises DegenerateGeometry when the total weight is too small or
+    the moments overflow.
     """
-    k = ISOTROPIC_FEATURES if gamma.is_isotropic else len(FEATURES)
+    f, w = graph.features, graph.posterior
     with np.errstate(over="ignore", invalid="ignore"):  # surfaces as the error below
-        total, *sums = (graph.feature_rows(k) @ graph.posterior).tolist()
+        total, *sums = (f @ w).tolist()
+        raw = ((f[3:5] * w) @ f[1:5].T).tolist()
     if not total > 0.0:
         raise NoCorrespondences("all responsibilities are zero")
     if total < _MIN_TOTAL_WEIGHT:
         raise DegenerateGeometry(f"total correspondence weight {total:.3e} is too small")
-    # the weighted means of the rows past "1" (FEATURES); s - center is delta + q
-    dx, dy, qx, qy, _, _, dq, cross, qq, *aniso = (v / total for v in sums)
-    # isotropic Gamma reads only A's trace and antisymmetric part, which the
-    # anisotropic rows it lacks do not change
-    _, qd, qxy, pd, cd = aniso or [0.0] * 5
-    bxx, byy, bxy = 0.5 * (qq + qd) - qx * qx, 0.5 * (qq - qd) - qy * qy, qxy - qx * qy
-    h = np.array([[0.5 * (dq + pd) - qx * dx + bxx, 0.5 * (cd - cross) - qx * dy + bxy],
-                  [0.5 * (cd + cross) - qy * dx + bxy, 0.5 * (dq - pd) - qy * dy + byy]])
-    moments = (h,) if gamma.is_isotropic else (h, np.array([[bxx, bxy], [bxy, byy]]))
+    # the weighted means of delta, q, q delta^T and q q^T; s - center is delta + q
+    dx, dy, qx, qy = (v / total for v in sums)
+    (pxx, pxy, bxx, bxy), (pyx, pyy, _, byy) = ([v / total for v in row] for row in raw)
+    bxx, byy, bxy = bxx - qx * qx, byy - qy * qy, bxy - qx * qy
+    h = [[pxx - qx * dx + bxx, pxy - qx * dy + bxy], [pyx - qy * dx + bxy, pyy - qy * dy + byy]]
+    bm = [[bxx, bxy], [bxy, byy]]
     # no value formed from the moments below exceeds this in size
-    if not math.isfinite(2.0 * sum(float(np.abs(m).sum()) for m in moments)):
+    if not math.isfinite(2.0 * sum(abs(v) for row in h + bm for v in row)):
         raise DegenerateGeometry("the weighted moments of the pairs overflow")
-    turn = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
+    turn = math.atan2(h[0][1] - h[1][0], h[0][0] + h[1][1])
     if not gamma.is_isotropic:
-        turn = _anisotropic_theta(gamma, *moments, turn)
+        turn = _anisotropic_theta(gamma, np.array(h), np.array(bm), turn)
     # c_s - R c_m = t0 + mean(delta) - (R(turn) - I)(mean(q) + center - t0)
     anchor, (a, b) = graph.anchor, _turn(turn)
     vx, vy = qx + graph.center[0] - anchor.tx, qy + graph.center[1] - anchor.ty
@@ -274,8 +271,10 @@ def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
     where ``1 / |x| - 1``, concave and increasing, is 0 (Moré & Sorensen, SIAM J. Sci.
     Stat. Comput. 1983): Newton climbs to it from below.  The smaller entry of ``x`` is
     well conditioned; the other follows from ``|x| = 1``.  At ``b2 = 0``, ``|b1| <= 2 rho``,
-    ``nu = 0``: of the minima ``phi +- acos(b1 / 2 rho)`` the seed's side is taken.  The
-    result replaces ``seed`` only when lower by more than its rounding error.
+    ``nu = 0``: of the minima ``phi +- acos(b1 / 2 rho)`` the seed's side is taken.  A ``b2``
+    too small to move ``nu + 2 rho``, as a subnormal one is, takes that branch on its own
+    side: Newton's steps from a subnormal ``nu`` overflow.  The result replaces ``seed``
+    only when lower by more than its rounding error.
     """
     # Gamma scaled by the power of two that puts its largest entry in [0.5, 1):
     # exact, so ``coef`` keeps its normalized value but cannot overflow.
@@ -289,14 +288,17 @@ def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
     u, v, p, q = (coef / (np.abs(coef).sum() or 1.0)).tolist()    # all zero: f is flat
     rho, phi = math.hypot(u, v), 0.5 * math.atan2(v, u)
     b1, b2 = p * math.cos(phi) + q * math.sin(phi), q * math.cos(phi) - p * math.sin(phi)
-    if b2 == 0.0 and abs(b1) <= 2.0 * rho:      # rho is 0 here only where f is flat
-        turn = math.copysign(math.acos(b1 / (2.0 * rho or 1.0)), math.sin(seed - phi))
+    gap = (2.0 * rho - abs(b1)) * (2.0 * rho + abs(b1))
+    # For gap > 0 the root is at most 2 rho |b2| / sqrt(gap): where that cannot move
+    # nu + 2 rho, x1 is b1 / 2 rho as at b2 = 0, and b2 picks the side.
+    if (b2 == 0.0 and gap >= 0.0       # rho is 0 here only where f is flat
+            or gap > 0.0 and 2.0 * rho + 2.0 * rho * abs(b2) / math.sqrt(gap) == 2.0 * rho):
+        turn = math.copysign(math.acos(b1 / (2.0 * rho or 1.0)), b2 or math.sin(seed - phi))
     else:
         # Lower bounds on the root: |x2| <= 1, |x| >= |beta| / (nu + 2 rho) and, near the fold
         # |b1| = 2 rho, a term of b1^2 nu^3 + rho gap nu^2 >= 4 rho^3 b2^2 reaching half of it.
         nu = max(abs(b2), math.hypot(b1, b2) - 2.0 * rho)
         if b1 and rho:
-            gap = (2.0 * rho - abs(b1)) * (2.0 * rho + abs(b1))
             by_square = abs(b2) * math.sqrt(2.0 * rho * rho / gap) if gap > 0.0 else math.inf
             nu = max(nu, min(rho * (math.sqrt(2.0) * abs(b2 / b1)) ** (2.0 / 3.0), by_square))
         for _ in range(_NEWTON_MAX_STEPS):
@@ -475,20 +477,23 @@ def _loglik_rounding(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> f
     """Bound on the rounding error of ``e_step``'s log-likelihood at ``pose``.
 
     A row's term is ``log prior_j + log sum_k exp(x_k)``, so errors in its
-    exponents ``x = -r^T Gamma r / 2`` move it by their posterior mean.  As
-    ``c @ F`` (``_exponents``), ``x`` errs by up to about 25 ulps of the sum
-    of its expanded terms' sizes, which is below ``u^T |Gamma| u`` for ``u =
-    |delta| + |L| |q| + |d|``: far above ``|x|`` where the pose is far from
-    the anchor and ``r`` small.  Against ``s - R m - t`` from the input
-    points, ``r`` is off by a few ulps of ``|s| + |m| + |t0| + |t|`` (building
-    ``F``; turning by ``theta0``, then by ``theta - theta0``), taken as 16
-    ulps, ``err``; with ``u`` widened by ``err``, that moves ``x`` by at most
-    ``|Gamma| u`` times ``err``.  The logs, exp and the sums add a few ulps of
-    the row terms, which ``|x|`` and ``-log prior_j`` bound.
+    exponents ``x = -|U r|^2`` (``_exponents``) move it by their posterior
+    mean.  Each entry of ``U r``, a sum of 5 terms, errs by a few ulps of
+    ``|U| u`` for ``u = |delta| + |L| |q| + |d|``, and ``U^T U`` misses ``Gamma /
+    2`` by a few ulps of ``|Gamma|``, also where ``u11`` cancels.  As ``|U|^T |U|
+    = |Gamma| / 2`` for a 2x2 triangular ``U``, ``x`` errs by about a dozen ulps
+    of ``u^T |Gamma| u / 2``, taken as 32 ulps of ``u^T |Gamma| u``: far above
+    ``|x|`` where the pose is far from the anchor and ``r`` small.  Against ``s -
+    R m - t`` from the input points, ``r`` is off by a few ulps of ``|s| + |m| +
+    |t0| + |t|`` (building ``F``; turning by ``theta0``, then by ``theta -
+    theta0``), taken as 16 ulps, ``err``; with ``u`` widened by ``err``, that
+    moves ``x`` by at most ``|Gamma| u`` times ``err``.  The logs, exp and the
+    sums add a few ulps of the row terms, which ``|x|`` and ``-log prior_j``
+    bound.
     """
     eps, anchor = float(np.finfo(float).eps), graph.anchor
     a, b, dx, dy = _offset(graph, pose)
-    ex, ey, qx, qy = np.abs(graph.feature_rows(5)[1:])
+    ex, ey, qx, qy = np.abs(graph.features[1:])
     err = 16.0 * eps * (np.abs(graph.scan[graph.scan_idx]).sum(axis=1)
                         + np.abs(graph.model[graph.model_idx]).sum(axis=1)
                         + (abs(pose.tx) + abs(pose.ty) + abs(anchor.tx) + abs(anchor.ty)))

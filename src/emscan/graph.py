@@ -21,12 +21,6 @@ from .grid import GridIndex
 
 __all__ = ["MatchGraph", "build_graph", "dump_graph"]
 
-#: The rows of ``F``, with ``d = delta``: the squares of ``dx`` and ``dy`` stay
-#: apart, so that each meets its own entry of Gamma exactly.
-FEATURES = ("1", "dx", "dy", "qx", "qy", "dx^2", "dy^2", "d.q", "dx qy - dy qx", "q.q",
-            "dx dy", "qx^2 - qy^2", "qx qy", "dx qx - dy qy", "dx qy + dy qx")
-ISOTROPIC_FEATURES = 10     # the leading rows that isotropic precision reads
-
 
 @dataclass
 class MatchGraph:
@@ -34,17 +28,15 @@ class MatchGraph:
 
     The edge arrays are parallel and sorted by (scan_idx, model_idx);
     ``row_start[j]:row_start[j + 1]`` slices them for scan point ``j``.
-    ``features`` holds the C-contiguous rows ``FEATURES`` of ``F``, per-edge
-    terms relative to the ``anchor`` (the gate pose): ``delta = s - anchor(m)``
-    and ``q = anchor(m) - center``.  At any pose an edge's residual is
-    ``delta + L q + d``, ``L`` and ``d`` set by the pose, so the E-step's
-    exponents are one ``c @ F`` and the M-step's sums one ``F @ w``.
-    ``feature_rows`` builds them on first use: the first 10, or all 15 once
-    anisotropic precision asks, so a gate that is only compared builds none.
-    ``prior`` is uniform over each row, and the E-step reads it once per row,
+    ``features`` is the C-contiguous ``(5, E)`` matrix ``F`` of per-edge rows
+    ``1``, ``delta = s - anchor(m)`` and ``q = anchor(m) - center``, relative
+    to the ``anchor`` (the gate pose).  At any pose an edge's residual is
+    ``delta + L q + d``, ``L`` and ``d`` set by the pose, so the E-step reads
+    every residual off one ``(2, 5)`` matrix times ``F``.  ``F`` is built on
+    first use, so a gate that is only compared builds none.  ``prior`` is uniform over each row, and the E-step reads it once per row,
     at the row's first edge: a non-uniform prior written into it is not
     honoured.  ``posterior`` is rewritten by the E-step and owned by a single
-    registration loop at a time; besides it, only ``features`` changes.
+    registration loop at a time.
     """
 
     scan: np.ndarray        # (n, 2) scan points
@@ -56,7 +48,6 @@ class MatchGraph:
     prior: np.ndarray       # (E,) uniform 1/|N(s_j)| per row
     posterior: np.ndarray   # (E,) responsibilities, initialized to prior
     row_start: np.ndarray   # (n + 1,) int64 offsets into the edge arrays
-    features: np.ndarray | None = None  # (10 or 15, E) leading rows of F, once built
 
     @property
     def n_scan(self) -> int:
@@ -100,41 +91,21 @@ class MatchGraph:
                    prior=prior, posterior=prior.copy(),
                    row_start=np.concatenate(([0], np.cumsum(counts))))
 
-    def feature_rows(self, k: int) -> np.ndarray:
-        """``F[:k]``, building the rows on first use: the first 10, or all 15."""
-        if self.features is None or k > self.features.shape[0]:
-            f = np.empty((ISOTROPIC_FEATURES if k <= ISOTROPIC_FEATURES else len(FEATURES),
-                          self.edge_count))             # filled row by row, in place
-            f[0] = 1.0
-            d, q = f[1:3], f[3:5]   # the indices are in range: "clip" takes no buffer
-            np.take(self.anchor.apply(self.model).T, self.model_idx, axis=1, out=q, mode="clip")
-            np.take(self.scan.T, self.scan_idx, axis=1, out=d, mode="clip")
-            d -= q
-            q -= np.reshape(self.center, (2, 1))
-            _fill_products(f)
-            self.features = f
-        return self.features[:k]
+    @functools.cached_property
+    def features(self) -> np.ndarray:
+        """``F``: the rows ``1``, ``delta`` and ``q`` of every edge."""
+        f = np.empty((5, self.edge_count))
+        f[0] = 1.0
+        d, q = f[1:3], f[3:5]   # the indices are in range: "clip" takes no buffer
+        np.take(self.anchor.apply(self.model).T, self.model_idx, axis=1, out=q, mode="clip")
+        np.take(self.scan.T, self.scan_idx, axis=1, out=d, mode="clip")
+        d -= q
+        q -= np.reshape(self.center, (2, 1))
+        return f
 
     def edge_set(self) -> set[tuple[int, int]]:
         """All (scan index, model index) pairs, for comparisons."""
         return set(zip(self.scan_idx.tolist(), self.model_idx.tolist()))
-
-
-def _fill_products(f: np.ndarray) -> None:
-    """Write the rows of ``f`` past the first 5 from ``delta`` and ``q`` in rows 1-4."""
-    d, q = f[1:3], f[3:5]
-    pair = np.empty_like(d)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow surfaces in the steps
-        np.multiply(d, d, out=f[5:7])
-        # rows a0 b0 + a1 b1 and a0 b0 - a1 b1
-        for plus, minus, a, b in ((9, 11, q, q), (7, 13, d, q), (14, 8, d, q[::-1])):
-            np.multiply(a, b, out=pair)
-            for row, op in ((plus, np.add), (minus, np.subtract)):
-                if row < f.shape[0]:
-                    op(pair[0], pair[1], out=f[row])
-        if f.shape[0] > ISOTROPIC_FEATURES:
-            np.multiply(f[1], f[2], out=f[10])
-            np.multiply(f[3], f[4], out=f[12])
 
 
 def build_graph(scan, model, pose0: Pose, w: float) -> MatchGraph:

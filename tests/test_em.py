@@ -279,6 +279,43 @@ def test_feature_exponents_stay_within_the_rounding_bound(scene, anisotropic, ra
         assert err[e] <= emscan.em._loglik_rounding(g, pose, gamma)
 
 
+@st.composite
+def _scaled_gamma(draw):
+    """Precision about any axis with eigenvalue ratio 1 down to 1e-12, at overall
+    scales from 2**-900 to 2**900."""
+    ratio = 10.0 ** draw(st.floats(-12.0, 0.0))
+    rot = Pose(0.0, 0.0, draw(st.floats(0.0, math.pi))).rotation()
+    try:
+        return PrecisionMatrix.from_matrix(
+            rot @ np.diag([1.0, ratio]) @ rot.T * 2.0 ** draw(st.integers(-900, 900)))
+    except ValueError:      # the rounded determinant is not positive
+        assume(False)
+
+
+def _small_scene():
+    return (build_graph([(0.1, 0.2), (0.5, -0.3)], [(0.0, 0.0), (0.4, -0.2)], identity, 1.0),
+            Pose(0.05, -0.02, 0.1), 1.0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(scene=_anchored_scene(), gamma=_scaled_gamma())
+# eigenvalue ratio 1e-17, where g11 / 2 - u01^2 rounds below 0
+@example(scene=_small_scene(),
+         gamma=PrecisionMatrix(0.8768927189221046, 0.3285603116986338, 0.12310728107789534))
+# the smallest subnormal g00, whose half rounds to 0
+@example(scene=_small_scene(), gamma=PrecisionMatrix(5e-324, 0.0, 1.0))
+def test_factored_exponents_stay_within_the_rounding_bound_at_any_scale(scene, gamma):
+    g, pose, _ = scene
+    expo = emscan.em._exponents(g, pose, gamma)
+    assert (expo <= 0.0).all()
+    err = np.array([abs(float(Fraction(x) - exact))
+                    for x, exact in zip(expo.tolist(), _exact_exponents(g, pose, gamma))])
+    for e in range(g.edge_count):   # all the weight on one edge
+        g.posterior[:] = 0.0
+        g.posterior[e] = 1.0
+        assert err[e] <= emscan.em._loglik_rounding(g, pose, gamma)
+
+
 _SMALLEST_NORMAL = 2.0 ** -1022
 # Exponent gaps below a row's best edge: near log(2**-1021) = -707.7, where
 # exp leaves its fast path, log(2**-1022) = -708.4, the smallest normal
@@ -523,6 +560,18 @@ def test_rotation_solve_is_global_near_its_hard_cases(case):
     f_theta, f_seed = _rotation_objective(gamma, a, b, np.array([theta, seed]))
     assert f_theta <= f_min + tol
     assert f_theta <= f_seed + tol
+
+
+@pytest.mark.parametrize("a00, a10", [(1.75, -1e-310), (1.75, -1e-315), (1.75, -1e-323),
+                                      (1.85, -1e-310)])
+def test_rotation_solve_is_global_for_a_subnormal_b2(a00, a10):
+    # Newton's steps from the subnormal lower bound on its root overflowed, and
+    # the solve kept the seed at f = -1.5 against f(+-0.3672) = -1.50833 for A00 = 1.75.
+    gamma, b = PrecisionMatrix(1.0, 0.0, 0.0625), np.diag([2.0, 0.0])
+    a = np.array([[a00, 0.0], [a10, 0.0]])
+    theta = emscan.em._anisotropic_theta(gamma, a, b, 0.0)
+    f_grid = _rotation_objective(gamma, a, b, np.linspace(-math.pi, math.pi, 20001))
+    assert _rotation_objective(gamma, a, b, np.array([theta]))[0] <= f_grid.min() + 1e-12
 
 
 @st.composite
