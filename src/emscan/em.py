@@ -55,6 +55,10 @@ _MIN_TOTAL_WEIGHT = 1e-12
 #: The smallest normal float and its log: smaller weights are flushed to 0.
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
+#: The E-step skips the row-max shift when no exponent is below this: 40 nats
+#: exceed the log of any row's edge count (e**40 is about 2.4e17), so every
+#: weight and posterior it forms is a normal float.
+_NO_SHIFT_FLOOR = _LOG_TINY + 40.0
 _NEWTON_MAX_STEPS = 16
 #: Sums and negates the two squared rows of ``U r`` in one product.
 _MINUS_ONES = np.array([-1.0, -1.0])
@@ -143,34 +147,34 @@ def _turn(delta: float) -> tuple[float, float]:
     return -2.0 * half * half, math.sin(delta)
 
 
-def _offset(graph: MatchGraph, pose: Pose) -> tuple[float, float, float, float]:
-    """``(a, b, dx, dy)``: at ``pose`` each edge's residual is ``delta + L q + d``,
-    with ``(a, b) = _turn(theta - theta0)``, ``L = I - R(theta - theta0) =
-    -[[a, -b], [b, a]]`` and ``d = t0 - t + L (center - t0)`` for the anchor."""
+def _residual_map(graph: MatchGraph, pose: Pose) -> list[list[float]]:
+    """The ``(2, 5)`` matrix ``[[dx, 1, 0, -a, b], [dy, 0, 1, -b, -a]]`` that maps the
+    features to every edge's residual at ``pose``, ``delta + L q + d``, with ``(a, b) =
+    _turn(theta - theta0)``, ``L = I - R(theta - theta0) = -[[a, -b], [b, a]]`` and ``d =
+    t0 - t + L (center - t0)`` for the anchor."""
     anchor = graph.anchor
     a, b = _turn(pose.theta - anchor.theta)
     vx, vy = graph.center[0] - anchor.tx, graph.center[1] - anchor.ty
-    return (a, b, anchor.tx - pose.tx - (a * vx - b * vy),
-            anchor.ty - pose.ty - (b * vx + a * vy))
+    dx, dy = anchor.tx - pose.tx - (a * vx - b * vy), anchor.ty - pose.ty - (b * vx + a * vy)
+    return [[dx, 1.0, 0.0, -a, b], [dy, 0.0, 1.0, -b, -a]]
 
 
 def _exponents(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> np.ndarray:
     """Every edge's exponent ``-r^T Gamma r / 2`` at ``pose``, as ``-|U r|^2 <= 0``.
 
     ``U`` is the upper-triangular factor of ``Gamma / 2``, ``U^T U = Gamma / 2``,
-    and ``U r`` over ``r = delta + L q + d`` (``_offset``) is one ``(2, 5)``
-    product with the features, the same for every ``gamma``.  Where ``Gamma``
-    is nearly singular, ``g11 / 2 - u01^2`` cancels and may round below 0:
-    ``u11`` is then 0.  ``|U r|^2`` overflows to ``inf`` only where the
-    exponent itself is below ``-max float``.
+    and ``U r`` is ``U`` times ``_residual_map``, one ``(2, 5)`` product with the
+    features, the same for every ``gamma``.  Where ``Gamma`` is nearly singular,
+    ``g11 / 2 - u01^2`` cancels and may round below 0: ``u11`` is then 0.
+    ``|U r|^2`` overflows to ``inf`` only where the exponent itself is below
+    ``-max float``.
     """
-    a, b, dx, dy = _offset(graph, pose)
     u00 = math.sqrt(gamma.g00) * math.sqrt(0.5)     # not 0 where g00 / 2 underflows
     u01 = 0.5 * gamma.g01 / u00
     u11 = math.sqrt(max(0.5 * gamma.g11 - u01 * u01, 0.0))
-    # U times the rows of r = [[dx, 1, 0, -a, b], [dy, 0, 1, -b, -a]] @ F
-    ur = np.array([[u00 * dx + u01 * dy, u00, u01, -(u00 * a + u01 * b), u00 * b - u01 * a],
-                   [u11 * dy, 0.0, u11, -u11 * b, -u11 * a]]) @ graph.features
+    rx, ry = _residual_map(graph, pose)
+    ur = np.array([[u00 * x + u01 * y for x, y in zip(rx, ry)],
+                   [u11 * y for y in ry]]) @ graph.features
     ur *= ur
     return _MINUS_ONES @ ur
 
@@ -178,45 +182,56 @@ def _exponents(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> np.ndar
 def e_step(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> float:
     """Update ``graph.posterior`` in place and return the log-likelihood at ``pose``.
 
-    The exponents of all edges are one product with the graph's features
-    (``_exponents``).  The prior is uniform over each row, ``1 / count_j``,
-    and is read once per row, at its first edge (a non-uniform prior written
-    into ``graph.prior`` is not honoured).  It cancels in the posterior, so
-    each nonempty row j becomes ``density_jk / sum_k' density_jk'``,
-    normalized in log domain with a per-row max shift so rows far from the
-    model stay exactly normalized.  Rows without edges are untouched.
+    The exponents, all ``<= 0``, are one product with the features
+    (``_exponents``).  The prior is uniform over each row, ``1 / count_j``, read
+    once per row at its first edge (a non-uniform ``graph.prior`` is not
+    honoured); it cancels in the posterior, so each nonempty row j becomes
+    ``density_jk / sum_k' density_jk'``.  Rows without edges are untouched.
 
-    Weights below 2**-1022, the smallest normal float, are exact zeros:
-    ``exp`` runs only where an exponent lies at most ``log(2**-1022)`` below
-    its row's maximum, and a normalized weight still below 2**-1022 is
-    flushed.  Further down, ``exp`` leaves its vectorized path and yields
-    subnormals that slow every later multiply.  Each row keeps a weight of
-    at least 1 / count, so the flush changes no sum and no log-likelihood.
+    When no exponent is below ``_NO_SHIFT_FLOOR``, ``log(2**-1022) + 40``, the
+    weights are the unshifted ``exp`` of the exponents: each is at least
+    ``2**-1022 e**40``, each row's denominator lies between its largest weight
+    and its edge count, so each posterior is at least ``2**-1022 e**40 /
+    count``, a normal float for any count below ``e**40``; nothing needs a
+    flush.  Otherwise (a NaN or -inf exponent included) each row is shifted by
+    its maximum, which keeps rows far from the model exactly normalized, and
+    weights below 2**-1022, the smallest normal float, are exact zeros: ``exp``
+    runs only where an exponent lies at most ``log(2**-1022)`` below its row's
+    maximum, and a normalized weight still below 2**-1022 is flushed.  Further
+    down, ``exp`` leaves its vectorized path and yields subnormals that slow
+    every later multiply.  Each row keeps a weight of at least 1 / count, so
+    the flush changes no sum.
 
     The return value is the marginal log-likelihood, the sum over nonempty
-    rows of ``log prior_j + log sum_k density_jk``, read off the same per-row
-    max and denominator.  Outlier rows contribute zero, and a graph without
-    edges scores exactly 0.  The dropped Gaussian normalization constant
-    shifts it by a pose-independent amount.  Raises DegenerateRow when it
-    is not finite, as when the exponents overflow.
+    rows of ``log prior_j + log sum_k density_jk``, read off the same
+    denominators and row maxima.  Outlier rows contribute zero, and a graph
+    without edges scores exactly 0.  The dropped Gaussian normalization
+    constant shifts it by a pose-independent amount.  Raises DegenerateRow,
+    with ``graph.posterior`` unwritten, when it is not finite, as when the
+    exponents overflow.
     """
     if graph.edge_count == 0:
         return 0.0
     starts, counts = graph.nonempty_rows
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # surface below
         expo = _exponents(graph, pose, gamma)
-        row_max = np.maximum.reduceat(expo, starts)
-        expo -= np.repeat(row_max, counts)
-        weights = np.zeros_like(expo)
-        np.exp(expo, out=weights, where=expo >= _LOG_TINY)
+        shift = not expo.min() >= _NO_SHIFT_FLOOR
+        if shift:
+            row_max = np.maximum.reduceat(expo, starts)
+            expo -= np.repeat(row_max, counts)
+            weights = np.zeros_like(expo)
+            np.exp(expo, out=weights, where=expo >= _LOG_TINY)
+        else:
+            row_max, weights = 0.0, np.exp(expo, out=expo)
         denom = np.add.reduceat(weights, starts)
         loglik = float(np.sum(row_max + np.log(denom) + np.log(graph.prior[starts])))
-    # The max shift keeps every denom >= 1 and every weight in [0, 1], so a
-    # finite log-likelihood implies finite posteriors.
+    # Every weight lies in [0, 1] and every denom is at least its row's largest
+    # weight, so a finite log-likelihood implies finite posteriors.
     if not math.isfinite(loglik):
         raise DegenerateRow(f"log-likelihood {loglik} is not finite")
-    weights /= np.repeat(denom, counts)
-    np.multiply(weights, weights >= _TINY, out=graph.posterior)
+    np.divide(weights, np.repeat(denom, counts), out=graph.posterior)
+    if shift:
+        graph.posterior *= graph.posterior >= _TINY
     return loglik
 
 
@@ -252,7 +267,7 @@ def m_step(graph: MatchGraph, gamma: PrecisionMatrix) -> Pose:
         raise DegenerateGeometry("the weighted moments of the pairs overflow")
     turn = math.atan2(h[0][1] - h[1][0], h[0][0] + h[1][1])
     if not gamma.is_isotropic:
-        turn = _anisotropic_theta(gamma, np.array(h), np.array(bm), turn)
+        turn = _anisotropic_theta(gamma, h, bm, turn)
     # c_s - R c_m = t0 + mean(delta) - (R(turn) - I)(mean(q) + center - t0)
     anchor, (a, b) = graph.anchor, _turn(turn)
     vx, vy = qx + graph.center[0] - anchor.tx, qy + graph.center[1] - anchor.ty
@@ -280,12 +295,14 @@ def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
     # exact, so ``coef`` keeps its normalized value but cannot overflow.
     exponent = -math.frexp(max(gamma.g00, gamma.g11))[1]
     g00, g01, g11 = (math.ldexp(g, exponent) for g in (gamma.g00, gamma.g01, gamma.g11))
-    d, e, gd = 0.5 * (b[0, 0] - b[1, 1]), b[0, 1], g00 - g11
-    coef = np.array([gd * d + 2.0 * g01 * e,
-                     2.0 * g01 * d - gd * e,
-                     a[0, 0] * g00 + a[0, 1] * g01 + a[1, 0] * g01 + a[1, 1] * g11,
-                     a[0, 0] * g01 + a[0, 1] * g11 - a[1, 0] * g00 - a[1, 1] * g01])
-    u, v, p, q = (coef / (np.abs(coef).sum() or 1.0)).tolist()    # all zero: f is flat
+    (a00, a01), (a10, a11) = a
+    d, e, gd = 0.5 * (b[0][0] - b[1][1]), b[0][1], g00 - g11
+    coef = (gd * d + 2.0 * g01 * e,
+            2.0 * g01 * d - gd * e,
+            a00 * g00 + a01 * g01 + a10 * g01 + a11 * g11,
+            a00 * g01 + a01 * g11 - a10 * g00 - a11 * g01)
+    scale = sum(map(abs, coef)) or 1.0      # all zero: f is flat
+    u, v, p, q = (c / scale for c in coef)
     rho, phi = math.hypot(u, v), 0.5 * math.atan2(v, u)
     b1, b2 = p * math.cos(phi) + q * math.sin(phi), q * math.cos(phi) - p * math.sin(phi)
     gap = (2.0 * rho - abs(b1)) * (2.0 * rho + abs(b1))
@@ -324,27 +341,17 @@ def _anisotropic_theta(gamma: PrecisionMatrix, a, b, seed: float) -> float:
 def residual_covariance(graph: MatchGraph, pose: Pose) -> tuple[np.ndarray, int]:
     """Responsibility-weighted residual outer-product average and n_P.
 
-    Returns ``(1/n_P) * sum_e posterior_e r_e r_e^T`` with
-    ``r_e = s_e - pose(m_e)`` and ``n_P`` the number of scan points holding
-    at least one edge.  Symmetric PSD by construction; raises NoInliers
-    when every scan point is an outlier.
+    Returns ``(1/n_P) * sum_e posterior_e r_e r_e^T`` with ``r_e = s_e -
+    pose(m_e)``, read off the features through ``_residual_map``, and ``n_P`` the
+    number of scan points holding at least one edge.  Symmetric PSD by
+    construction; raises NoInliers when every scan point is an outlier.
     """
     n_p = graph.inlier_count
     if n_p == 0:
         raise NoInliers("every scan point is an outlier")
-    sx, sy = np.take(graph.scan.T, graph.scan_idx, axis=1)     # one gather per call
-    mx, my = np.take(graph.model.T, graph.model_idx, axis=1)
-    c, s = math.cos(pose.theta), math.sin(pose.theta)
-    rx, ry = c * mx, s * mx             # pose(m), then s minus it, in place
-    rx -= s * my
-    ry += c * my
-    rx += pose.tx
-    ry += pose.ty
-    rx, ry = np.subtract(sx, rx, out=rx), np.subtract(sy, ry, out=ry)
-    w = graph.posterior
-    rxx = float(w @ (rx * rx))
-    rxy = float(w @ (rx * ry))
-    ryy = float(w @ (ry * ry))
+    rx, ry = np.array(_residual_map(graph, pose)) @ graph.features
+    wx = graph.posterior * rx
+    rxx, rxy, ryy = float(wx @ rx), float(wx @ ry), float(graph.posterior @ (ry * ry))
     return np.array([[rxx, rxy], [rxy, ryy]]) / n_p, n_p
 
 
@@ -492,7 +499,7 @@ def _loglik_rounding(graph: MatchGraph, pose: Pose, gamma: PrecisionMatrix) -> f
     bound.
     """
     eps, anchor = float(np.finfo(float).eps), graph.anchor
-    a, b, dx, dy = _offset(graph, pose)
+    (dx, _, _, a, b), (dy, *_) = _residual_map(graph, pose)      # only sizes are read
     ex, ey, qx, qy = np.abs(graph.features[1:])
     err = 16.0 * eps * (np.abs(graph.scan[graph.scan_idx]).sum(axis=1)
                         + np.abs(graph.model[graph.model_idx]).sum(axis=1)

@@ -1,6 +1,7 @@
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestEStep:
         g.prior[g.row_start[j]:g.row_start[j + 1]] = math.nan
         with pytest.raises(DegenerateRow, match="not finite"):
             e_step(g, identity, eye)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.001], ids=["no-shift", "shifted"])
+    def test_a_nan_prior_leaves_the_posterior_unwritten(self, sigma):
+        gamma = PrecisionMatrix.isotropic(sigma)
+        g = build_graph([(0.0, 0.0), (1.0, 0.0)], [(0.1, 0.0), (0.0, 0.2), (1.0, 0.1)],
+                        identity, 0.5)
+        no_shift = emscan.em._exponents(g, identity, gamma).min() >= emscan.em._NO_SHIFT_FLOOR
+        assert no_shift == (sigma == 1.0)
+        g.prior[g.row_start[1]:] = math.nan
+        g.posterior[:] = 0.25
+        with pytest.raises(DegenerateRow, match="not finite"):
+            e_step(g, identity, gamma)
+        np.testing.assert_array_equal(g.posterior, 0.25)
 
     def test_overflowing_exponents_raise_degenerate_row(self):
         # every edge's Mahalanobis term overflows, leaving the row no finite weight
@@ -366,6 +380,59 @@ def test_e_step_flushes_only_weights_below_the_smallest_normal(rows, base):
         lse = top + math.log(math.fsum(math.exp(x - top) for x in expo))
         expected.append(lse)
         for e, x in zip(range(lo, hi), expo):
+            exact = math.exp(x - lse)
+            if w[e] == 0.0:
+                assert exact < _SMALLEST_NORMAL * (1.0 + 1e-12)
+            else:
+                assert w[e] == pytest.approx(exact, rel=1e-12)
+    assert loglik == pytest.approx(math.fsum(expected), rel=1e-12, abs=1e-12)
+
+
+_NO_SHIFT_FLOOR = emscan.em._NO_SHIFT_FLOOR
+
+
+@st.composite
+def _shallow_rows(draw):
+    """Exponents of rows of 0 to 6 edges: the best from 0 to -660 and the others
+    up to 700 below it, so the smallest falls on both sides of the no-shift floor."""
+    rows = []
+    for size in draw(st.lists(st.integers(0, 6), min_size=1, max_size=5)):
+        if not size:
+            rows.append([])
+            continue
+        best = -draw(st.floats(0.0, 660.0))
+        gaps = draw(st.lists(st.floats(0.0, 700.0), min_size=size - 1, max_size=size - 1))
+        rows.append(draw(st.permutations([best] + [best - gap for gap in gaps])))
+    assume(any(rows))
+    return rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(rows=_shallow_rows())
+@example(rows=[[-650.0, -650.7, -649.9], [], [-651.0]])     # far from the model, yet unshifted
+@example(rows=[[-1.0, _NO_SHIFT_FLOOR], [0.0]])         # the smallest exponent at the floor
+# a normal exp(-707) whose posterior, divided by 5, is not normal: the margin shifts it
+@example(rows=[[0.0, 0.0, 0.0, 0.0, 0.0, -707.0]])
+def test_e_step_on_either_side_of_the_no_shift_floor(rows):
+    counts = [len(r) for r in rows]
+    g = MatchGraph.from_edges(np.zeros((len(rows), 2)), np.zeros((sum(counts), 2)),
+                              np.repeat(np.arange(len(rows)), counts), np.arange(sum(counts)))
+    expo = np.array([x for r in rows for x in r])
+    with mock.patch.object(emscan.em, "_exponents", lambda *_: expo.copy()):
+        loglik = e_step(g, identity, eye)
+
+    w = g.posterior
+    assert np.all((w == 0.0) | (w >= _SMALLEST_NORMAL))
+    expected = []
+    for j, row in enumerate(rows):
+        if not row:
+            continue
+        lo, hi = g.row_start[j], g.row_start[j + 1]
+        top = max(row)
+        lse = top + math.log(math.fsum(math.exp(x - top) for x in row))
+        expected.append(math.log(g.prior[lo]) + lse)
+        assert math.fsum(w[lo:hi]) == pytest.approx(1.0, abs=1e-12)
+        for e, x in zip(range(lo, hi), row):
             exact = math.exp(x - lse)
             if w[e] == 0.0:
                 assert exact < _SMALLEST_NORMAL * (1.0 + 1e-12)
@@ -700,6 +767,26 @@ class TestResidualCovariance:
         np.testing.assert_allclose(fast, slow, atol=1e-12)
         assert fast[0, 1] == fast[1, 0]
         assert np.linalg.eigvalsh(fast).min() >= -1e-12
+
+
+@settings(deadline=None, max_examples=80)
+@given(scene=_anchored_scene())
+def test_covariance_off_the_features_matches_the_direct_formula(scene):
+    g, pose, radius = scene
+    e_step(g, pose, PrecisionMatrix.isotropic(radius / 3.0))
+    cov, n_p = residual_covariance(g, pose)
+    ref, n_ref = slow_residual_covariance(g, pose)
+    assert n_p == n_ref
+    assert cov[0, 1] == cov[1, 0]
+    # Each residual, off the features or as s - pose(m), errs by a few ulps of
+    # |s| + |m| + |t0| + |t| (as in ``_loglik_rounding``), taken as 32.
+    eps, anchor = float(np.finfo(float).eps), g.anchor
+    scan, model = g.scan[g.scan_idx], g.model[g.model_idx]
+    err = 32.0 * eps * (np.abs(scan).sum(axis=1) + np.abs(model).sum(axis=1)
+                        + (abs(pose.tx) + abs(pose.ty) + abs(anchor.tx) + abs(anchor.ty)))
+    size = np.abs(scan - pose.apply(model)).sum(axis=1)
+    tol = g.posterior @ (2.0 * size * err + err * err) / n_p + 16.0 * eps * np.abs(ref)
+    assert np.all(np.abs(cov - ref) <= tol)
 
 
 class TestRegister:
